@@ -10,9 +10,9 @@
 ///
 /// Four micro sections isolate the per-mutant cost stack and gate the
 /// packed kernels against the dense reference path, each repeated under
-/// EVERY compiled-and-supported SIMD backend (SWAR / AVX2 / AVX-512; forced
-/// via util::simd::set_kernels_for_testing, overridable process-wide with
-/// HDTEST_KERNEL_BACKEND):
+/// EVERY available kernel backend (AVX-512 / AVX2 / SWAR / the scalar
+/// oracle; forced via util::simd::set_kernels_for_testing, overridable
+/// process-wide with HDTEST_KERNEL_BACKEND):
 ///   1. packed predict_batch vs per-sample dense predict (classification);
 ///   2. bit-sliced full-image encode vs per-pixel dense accumulation
 ///      (trainer / rebase / seed warm-up path);
@@ -28,13 +28,13 @@
 /// section doubles as a bit-exactness gate; any packed/dense or
 /// cross-backend disagreement fails the binary.
 ///
-/// A model_load section measures serving cold-start: v2 stream load vs v3
-/// stream load vs v3 mmap (hdc::MappedModel, with and without the full
-/// checksum sweep). It doubles as the save -> map -> predict_batch
-/// round-trip gate: mapped predictions must be bit-exact with the in-memory
-/// model, and the instrument counters must show zero dense->packed rebuilds
-/// and zero codebook regenerations on the mapped path. Runs in --self-check
-/// too (CI's Release bench smoke).
+/// A model_load section measures serving cold-start: v3 stream load vs v3
+/// mmap (hdc::MappedModel, with and without the full checksum sweep). It
+/// doubles as the save -> map -> predict_batch round-trip gate: mapped
+/// predictions must be bit-exact with the in-memory model, and the
+/// instrument counters must show zero dense->packed rebuilds and zero
+/// codebook regenerations on the mapped path. Runs in --self-check too
+/// (CI's Release bench smoke).
 ///
 /// A rematerialize_crossover section compares stored codebook mirrors with
 /// on-the-fly rematerialization (hdc::CodebookMode::kRemat): full-encode
@@ -98,6 +98,19 @@
 namespace {
 
 using hdtest::benchutil::JsonObject;
+
+/// A records-identity gate: true iff \p actual reproduces \p expected
+/// (fuzz::first_divergence finds nothing). On a divergence prints
+/// "ERROR: <what>: <first diverging stream, field, both values>".
+bool records_match(const hdtest::fuzz::CampaignResult& expected,
+                   const hdtest::fuzz::CampaignResult& actual,
+                   const std::string& what) {
+  const auto diff = hdtest::fuzz::first_divergence(expected, actual);
+  if (diff) {
+    std::printf("ERROR: %s: %s\n", what.c_str(), diff->describe().c_str());
+  }
+  return !diff;
+}
 
 hdtest::data::Image random_image(std::size_t w, std::size_t h,
                                  std::uint64_t seed) {
@@ -488,9 +501,9 @@ double bench_predict_block(const char* backend, const BlockBaseline& base,
 
 // ---------------------------------------------------------------------------
 // Campaign scaling: the sharded runtime end to end. The bit-exactness gates
-// use fuzz::identical_records — the SAME predicate the determinism test
+// use fuzz::first_divergence — the SAME predicate the determinism test
 // suite asserts — so the optimized-build gate can never be weaker than the
-// contract.
+// contract, and a failure prints the first diverging stream and field.
 
 /// Worker counts to sweep: 1/2/4 plus the box's hardware concurrency.
 std::vector<std::size_t> scaling_worker_counts() {
@@ -536,10 +549,10 @@ bool bench_campaign_scaling(const hdtest::benchutil::Setup& setup,
       auto campaign = fuzz::run_campaign(fuzzer, setup.data.test, config);
       if (workers == 1) {
         reference = campaign;
-      } else if (!fuzz::identical_records(reference, campaign)) {
-        std::printf("ERROR: campaign records diverged at workers=%zu "
-                    "(strategy %s)\n",
-                    workers, name);
+      } else if (!records_match(reference, campaign,
+                                "campaign records diverged at workers=" +
+                                    std::to_string(workers) + " (strategy " +
+                                    name + ")")) {
         ok = false;
       }
       const double speedup =
@@ -579,7 +592,7 @@ bool bench_campaign_scaling(const hdtest::benchutil::Setup& setup,
 // slice onto one thread — the records/sec ratio measures protocol cost plus
 // the fleet's speculative overshoot, NOT parallel speedup (the loopback
 // TcpCoordinator provides real concurrency; tier-1 tests cover it). The gate
-// is the tentpole contract itself: fuzz::identical_records against the solo
+// is the tentpole contract itself: fuzz::first_divergence against the solo
 // records, re-proven in the optimized build both on a clean network and
 // under 5% frame corruption.
 
@@ -664,12 +677,11 @@ bool bench_campaign_federation(bool self_check_only,
     const util::Stopwatch watch;
     const auto merged = fleet.run();
     const double seconds = watch.seconds();
-    const bool identical = fuzz::identical_records(merged, reference);
-    if (!identical) {
-      std::printf("ERROR: federated records diverged from solo (%s)\n",
-                  variant.name);
-      ok = false;
-    }
+    const bool identical = records_match(
+        reference, merged,
+        std::string("federated records diverged from solo (") +
+            variant.name + ")");
+    if (!identical) ok = false;
     const double rps =
         seconds > 0.0 ? static_cast<double>(merged.records.size()) / seconds
                       : 0.0;
@@ -937,10 +949,12 @@ bool bench_coordinator_durability(bool self_check_only,
     reference.gave_up = ledger.gave_up();
     reference.records = ledger.take_records();
   }
-  if (!core.finished() ||
-      !fuzz::identical_records(core.take_result(), reference)) {
-    std::printf("ERROR: records after crash-recovery diverged from the "
-                "solo ledger replay\n");
+  if (!core.finished()) {
+    std::printf("ERROR: recovered coordinator did not finish\n");
+    ok = false;
+  } else if (!records_match(reference, core.take_result(),
+                            "records after crash-recovery diverged from the "
+                            "solo ledger replay")) {
     ok = false;
   }
 
@@ -981,14 +995,10 @@ void bench_model_load(std::size_t dim, std::size_t reps,
   hdc::HdcClassifier model(config, 28, 28, 10);
   model.fit(pair.train);
 
-  const auto v2_path = benchutil::out_dir() + "/model_load_v2.hdtm";
   const auto v3_path = benchutil::out_dir() + "/model_load_v3.hdtm";
-  hdc::save_model(model, v2_path, /*version=*/2);
   hdc::save_model(model, v3_path);
   const auto v3_bytes = std::filesystem::file_size(v3_path);
 
-  const double v2_stream_ms = time_load_ms(
-      reps, [&] { (void)hdc::load_model(v2_path); });
   const double v3_stream_ms = time_load_ms(
       reps, [&] { (void)hdc::load_model(v3_path); });
   const double v3_mmap_verified_ms = time_load_ms(reps, [&] {
@@ -1019,21 +1029,20 @@ void bench_model_load(std::size_t dim, std::size_t reps,
   }
 
   const double speedup =
-      v3_mmap_ms > 0.0 ? v2_stream_ms / v3_mmap_ms : 0.0;
-  std::printf("  dim=%5zu: v2 stream %8.2f ms, v3 stream %8.2f ms, v3 mmap "
-              "%8.3f ms verified / %8.3f ms unverified -> %.0fx vs v2 "
-              "(file %zu KiB; round-trip gate %s)\n",
-              dim, v2_stream_ms, v3_stream_ms, v3_mmap_verified_ms, v3_mmap_ms,
-              speedup, static_cast<std::size_t>(v3_bytes) / 1024,
+      v3_mmap_ms > 0.0 ? v3_stream_ms / v3_mmap_ms : 0.0;
+  std::printf("  dim=%5zu: v3 stream %8.2f ms, v3 mmap %8.3f ms verified / "
+              "%8.3f ms unverified -> %.0fx vs stream (file %zu KiB; "
+              "round-trip gate %s)\n",
+              dim, v3_stream_ms, v3_mmap_verified_ms, v3_mmap_ms, speedup,
+              static_cast<std::size_t>(v3_bytes) / 1024,
               counters_clean ? "clean" : "DIRTY");
   json_rows.push_back(
       JsonObject()
           .add("dim", static_cast<double>(dim))
-          .add("v2_stream_ms", v2_stream_ms)
           .add("v3_stream_ms", v3_stream_ms)
           .add("v3_mmap_verified_ms", v3_mmap_verified_ms)
           .add("v3_mmap_ms", v3_mmap_ms)
-          .add("mmap_speedup_vs_v2_stream", speedup)
+          .add("mmap_speedup_vs_v3_stream", speedup)
           .add("v3_file_bytes", static_cast<double>(v3_bytes))
           .str());
 }
@@ -1122,14 +1131,11 @@ bool bench_rematerialize_crossover(bool self_check_only,
         fuzz::run_campaign(stored_fuzzer, pair.test, campaign);
     const auto remat_result =
         fuzz::run_campaign(remat_fuzzer, pair.test, campaign);
-    const bool identical =
-        fuzz::identical_records(stored_result, remat_result);
-    if (!identical) {
-      std::printf("ERROR: remat campaign records diverged from stored at "
-                  "dim=%zu\n",
-                  dim);
-      ok = false;
-    }
+    const bool identical = records_match(
+        stored_result, remat_result,
+        "remat campaign records diverged from stored at dim=" +
+            std::to_string(dim));
+    if (!identical) ok = false;
 
     // v3 artifact size: the mirror sections are the bulk of a stored file,
     // so the remat variant must shrink, not just not-grow.
@@ -1255,10 +1261,8 @@ bool bench_telemetry_overhead(bool self_check_only,
   obs::set_enabled(was_enabled);
   obs::set_trace_enabled(was_tracing);
 
-  const bool identical = fuzz::identical_records(on_result, off_result);
-  if (!identical) {
-    std::printf("ERROR: enabling telemetry changed the campaign records\n");
-  }
+  const bool identical = records_match(
+      off_result, on_result, "enabling telemetry changed the campaign records");
   const double ratio = off_seconds > 0.0 ? on_seconds / off_seconds : 0.0;
   // <= 2% plus 10 ms of absolute slack for timer/scheduler granularity.
   const bool within = on_seconds <= off_seconds * 1.02 + 0.010;
@@ -1308,7 +1312,8 @@ bool campaign_determinism_gate() {
   const auto sequential = fuzz::run_campaign(fuzzer, pair.test, campaign_config);
   campaign_config.workers = 4;
   const auto sharded = fuzz::run_campaign(fuzzer, pair.test, campaign_config);
-  const bool ok = fuzz::identical_records(sequential, sharded);
+  const bool ok = records_match(sequential, sharded,
+                                "campaign records diverged at workers=4");
   std::printf("campaign determinism gate (target mode, workers 1 vs 4): %s\n",
               ok ? "identical" : "DIVERGED");
   return ok;
@@ -1608,7 +1613,7 @@ int main(int argc, char** argv) {
   // Serving cold-start + the save -> map -> predict_batch round-trip gate.
   const auto load_reps =
       benchutil::env_u64("HDTEST_LOAD_REPS", self_check_only ? 1 : 10);
-  std::printf("\nmodel cold-start: v2/v3 stream load vs v3 mmap "
+  std::printf("\nmodel cold-start: v3 stream load vs v3 mmap "
               "(%zu reps; gate: mapped predictions bit-exact, zero "
               "rebuilds/regenerations)\n",
               load_reps);

@@ -229,8 +229,9 @@ int main(int argc, char** argv) {
       fuzz::CampaignConfig solo = config;
       solo.workers = 1;
       const auto reference = fuzz::run_campaign(fuzzer, pair.test, solo);
-      if (!fuzz::identical_records(fleet, reference)) {
-        std::cerr << "error: federated records differ from workers=1 run\n";
+      if (const auto diff = fuzz::first_divergence(reference, fleet)) {
+        std::cerr << "error: federated records differ from workers=1 run: "
+                  << diff->describe() << "\n";
         return 3;
       }
       std::printf("verify-solo: %zu records bit-identical to workers=1\n",

@@ -1,6 +1,9 @@
 #include "fuzz/campaign.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <stdexcept>
+#include <type_traits>
 
 #include "fuzz/shard/runtime.hpp"
 #include "util/log.hpp"
@@ -103,32 +106,95 @@ std::vector<CampaignResult::PerClass> CampaignResult::per_class(
   return out;
 }
 
-bool identical_records(const CampaignResult& a, const CampaignResult& b) {
-  if (a.gave_up != b.gave_up || a.records.size() != b.records.size()) {
-    return false;
+namespace {
+
+template <typename T>
+std::string to_text(T value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return value ? "true" : "false";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    // Round-trip precision: two doubles that differ print differently.
+    char buffer[32];
+    std::snprintf(buffer, sizeof buffer, "%.17g", value);
+    return buffer;
+  } else {
+    return std::to_string(value);
   }
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const auto& ra = a.records[i];
-    const auto& rb = b.records[i];
-    const auto& oa = ra.outcome;
-    const auto& ob = rb.outcome;
-    if (ra.image_index != rb.image_index || ra.true_label != rb.true_label ||
-        oa.success != ob.success || oa.reference_label != ob.reference_label ||
-        oa.iterations != ob.iterations || oa.encodes != ob.encodes ||
-        oa.discarded != ob.discarded) {
-      return false;
+}
+
+/// First field of one record pair that differs (stream left at 0).
+std::optional<RecordDivergence> record_divergence(const CampaignRecord& e,
+                                                  const CampaignRecord& a) {
+  std::optional<RecordDivergence> found;
+  const auto check = [&found](const char* field, auto want, auto got) {
+    if (!found && want != got) {
+      found = RecordDivergence{0, field, to_text(want), to_text(got)};
     }
-    if (oa.success &&
-        (oa.adversarial != ob.adversarial ||
-         oa.adversarial_label != ob.adversarial_label ||
-         oa.perturbation.l1 != ob.perturbation.l1 ||
-         oa.perturbation.l2 != ob.perturbation.l2 ||
-         oa.perturbation.linf != ob.perturbation.linf ||
-         oa.perturbation.pixels_changed != ob.perturbation.pixels_changed)) {
-      return false;
+  };
+  const auto& eo = e.outcome;
+  const auto& ao = a.outcome;
+  check("image_index", e.image_index, a.image_index);
+  check("true_label", e.true_label, a.true_label);
+  check("success", eo.success, ao.success);
+  check("reference_label", eo.reference_label, ao.reference_label);
+  check("iterations", eo.iterations, ao.iterations);
+  check("encodes", eo.encodes, ao.encodes);
+  check("discarded", eo.discarded, ao.discarded);
+  if (found || !eo.success) return found;
+
+  const auto& ei = eo.adversarial;
+  const auto& ai = ao.adversarial;
+  if (ei.width() != ai.width() || ei.height() != ai.height()) {
+    return RecordDivergence{
+        0, "adversarial.shape",
+        to_text(ei.width()) + "x" + to_text(ei.height()),
+        to_text(ai.width()) + "x" + to_text(ai.height())};
+  }
+  const auto ep = ei.pixels();
+  const auto ap = ai.pixels();
+  const auto pixel = std::mismatch(ep.begin(), ep.end(), ap.begin());
+  if (pixel.first != ep.end()) {
+    return RecordDivergence{
+        0, "adversarial.pixel[" + to_text(pixel.first - ep.begin()) + "]",
+        to_text(int{*pixel.first}), to_text(int{*pixel.second})};
+  }
+  check("adversarial_label", eo.adversarial_label, ao.adversarial_label);
+  check("perturbation.l1", eo.perturbation.l1, ao.perturbation.l1);
+  check("perturbation.l2", eo.perturbation.l2, ao.perturbation.l2);
+  check("perturbation.linf", eo.perturbation.linf, ao.perturbation.linf);
+  check("perturbation.pixels_changed", eo.perturbation.pixels_changed,
+        ao.perturbation.pixels_changed);
+  return found;
+}
+
+}  // namespace
+
+std::string RecordDivergence::describe() const {
+  return "stream " + to_text(stream) + ", field " + field + ": expected " +
+         expected + ", actual " + actual;
+}
+
+std::optional<RecordDivergence> first_divergence(
+    const CampaignResult& expected, const CampaignResult& actual) {
+  const std::size_t shared =
+      std::min(expected.records.size(), actual.records.size());
+  for (std::size_t i = 0; i < shared; ++i) {
+    auto found = record_divergence(expected.records[i], actual.records[i]);
+    if (found) {
+      found->stream = i;
+      return found;
     }
   }
-  return true;
+  if (expected.records.size() != actual.records.size()) {
+    return RecordDivergence{shared, "record_count",
+                            to_text(expected.records.size()),
+                            to_text(actual.records.size())};
+  }
+  if (expected.gave_up != actual.gave_up) {
+    return RecordDivergence{shared, "gave_up", to_text(expected.gave_up),
+                            to_text(actual.gave_up)};
+  }
+  return std::nullopt;
 }
 
 CampaignResult run_campaign(const Fuzzer& fuzzer, const data::Dataset& inputs,

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -127,13 +128,35 @@ struct CampaignResult {
                                           const data::Dataset& inputs,
                                           const CampaignConfig& config);
 
-/// The shard determinism contract, as a predicate: true iff the two results
-/// agree on EVERY non-wall-clock field — gave_up and, per record, the input
-/// index, true label, and the complete outcome (success, labels,
-/// iterations, encodes, discarded, the adversarial image bytes, and all
-/// perturbation components). The determinism test suite and the bench
-/// gates share this single definition.
-[[nodiscard]] bool identical_records(const CampaignResult& a,
-                                     const CampaignResult& b);
+/// The first field on which two campaign results disagree.
+struct RecordDivergence {
+  /// Record index in canonical stream order. For "record_count" and
+  /// "gave_up" it is the number of records the two results share.
+  std::size_t stream = 0;
+  /// Record field ("iterations", "perturbation.l2", "adversarial.pixel[17]",
+  /// ...) or result field ("record_count", "gave_up").
+  std::string field;
+  std::string expected;  ///< value in the reference result
+  std::string actual;    ///< value in the result under test
+
+  /// One line: "stream 12, field iterations: expected 5, actual 7".
+  [[nodiscard]] std::string describe() const;
+};
+
+/// The shard determinism contract: compares every non-wall-clock field —
+/// per record, the input index, true label, and the complete outcome
+/// (success, labels, iterations, encodes, discarded, the adversarial image
+/// bytes, and all perturbation components), then the record count and
+/// gave_up. Returns nothing when the results agree, else the first
+/// mismatch. The determinism suites and the bench gates share this single
+/// definition, and print its report when a gate fails.
+[[nodiscard]] std::optional<RecordDivergence> first_divergence(
+    const CampaignResult& expected, const CampaignResult& actual);
+
+/// True iff first_divergence finds nothing.
+[[nodiscard]] inline bool identical_records(const CampaignResult& a,
+                                            const CampaignResult& b) {
+  return !first_divergence(a, b).has_value();
+}
 
 }  // namespace hdtest::fuzz

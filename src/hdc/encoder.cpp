@@ -4,8 +4,8 @@
 #include <bit>
 #include <stdexcept>
 
-#include "device/device.hpp"
 #include "util/bitops.hpp"
+#include "util/simd/kernels.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hdtest::hdc {
@@ -349,14 +349,14 @@ HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
   // contributes 2*(old_bit - new_bit) per lane, rewritten bias-free as
   //   2*old_bit + 2*(~new_bit) - 2,
   // so patching is two word-level ripple-carry adds per patch into the
-  // biased slice bank (the device's encode_patch block), and the trailing
-  // constant folds into the sign threshold: lane < 0 <=> stored < T,
-  // lane == 0 <=> stored == T, with T = bias + 2*pairs. Eq. 1 then falls
-  // out of one bit-parallel MSB-down comparison per word (the device's
-  // slice_bipolarize_block) — never a dense intermediate, never an O(D)
-  // int32 pass. Bit-exact with from_dense(encode_mutant(mutant)) under
-  // every device backend and codebook storage mode.
-  const Device& device = active_device();
+  // biased slice bank (the simd::Kernels::csa_patch kernel), and the
+  // trailing constant folds into the sign threshold: lane < 0 <=> stored <
+  // T, lane == 0 <=> stored == T, with T = bias + 2*pairs. Eq. 1 then falls
+  // out of one bit-parallel MSB-down comparison per word
+  // (simd::Kernels::slice_bipolarize) — never a dense intermediate, never
+  // an O(D) int32 pass. Bit-exact with from_dense(encode_mutant(mutant))
+  // under every kernel backend and codebook storage mode.
+  const auto& kernels = util::simd::kernels();
   const std::size_t n = encoder_->dim();
   const std::size_t words = util::words_for_bits(n);
   const std::size_t levels = slice_count_;
@@ -367,7 +367,7 @@ HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
     const auto& positions = encoder_->packed_position_memory();
     const auto& values = encoder_->packed_value_memory();
     for (const auto& patch : patches_) {
-      device.encode_patch(
+      kernels.csa_patch(
           slices, words, levels,
           positions.row(patch.position, pos_row_scratch_).data(),
           values.row(patch.old_index, old_row_scratch_).data(),
@@ -379,9 +379,9 @@ HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
   const auto threshold = static_cast<std::uint32_t>(bias_) +
                          2 * static_cast<std::uint32_t>(patches_.size());
   std::vector<std::uint64_t> out(words, 0);
-  device.slice_bipolarize_block(src, words, levels, threshold,
-                                encoder_->tie_break_packed().words().data(),
-                                out.data());
+  kernels.slice_bipolarize(src, words, levels, threshold,
+                           encoder_->tie_break_packed().words().data(),
+                           out.data());
   out.back() &= util::tail_mask(n);
   return PackedHv::from_words(n, std::move(out));
 }

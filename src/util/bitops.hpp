@@ -16,7 +16,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "device/device.hpp"
+#include "util/simd/kernels.hpp"
 
 namespace hdtest::util {
 
@@ -42,11 +42,11 @@ namespace hdtest::util {
 }
 
 /// Popcount of the XOR of two equal-length spans (Hamming distance of the
-/// packed vectors), submitted to the active compute device.
+/// packed vectors), on the active kernel backend.
 /// \pre a.size() == b.size().
 [[nodiscard]] inline std::size_t xor_popcount(std::span<const std::uint64_t> a,
                                               std::span<const std::uint64_t> b) noexcept {
-  return hdc::active_device().hamming_block(a.data(), b.data(), a.size());
+  return simd::kernels().xor_popcount(a.data(), b.data(), a.size());
 }
 
 /// Reads bit \p index from a packed span.
@@ -81,9 +81,8 @@ inline void set_bit(std::span<std::uint64_t> words, std::size_t index,
 /// which terminates after ~2 word operations per word amortized (slice k is
 /// reached once every 2^k additions). Slices grow on demand, so any N fits.
 /// drain_into() converts back to int32 lanes once per bundle. The ripple
-/// itself is submitted to the active compute device
-/// (hdc::Device::encode_accumulate); this class keeps the ladder
-/// bookkeeping.
+/// itself is the active backend's simd::Kernels::csa_add kernel; this
+/// class keeps the ladder bookkeeping.
 class BitSliceAccumulator {
  public:
   /// Counter bank for vectors of \p bits lanes, all counts zero.
@@ -163,17 +162,17 @@ class BitSliceAccumulator {
   /// ~50% of the time and dominate an all-branchy ladder).
   static constexpr std::size_t kFastLevels = 3;
 
-  /// Runs the device CSA ripple of \p a (or a ^ b when \p b is non-null)
+  /// Runs the kernel CSA ripple of \p a (or a ^ b when \p b is non-null)
   /// through the ladder; grows the ladder by one level (allocating) when
   /// any lane's count overflowed the current height. A single new level
   /// always suffices: an escaped carry has weight 2^levels_ exactly, and
   /// the freshly-opened slice is empty so it cannot re-carry.
   void ripple(const std::uint64_t* a, const std::uint64_t* b) {
-    // carry_ is kept all-zero between calls (the device's precondition);
+    // carry_ is kept all-zero between calls (the kernel's precondition);
     // backends only write escaped carries, so the common no-escape add does
     // no carry_out work at all.
-    if (hdc::active_device().encode_accumulate(slices_.data(), words_, levels_,
-                                               a, b, carry_.data())) {
+    if (simd::kernels().csa_add(slices_.data(), words_, levels_, a, b,
+                                carry_.data())) {
       // Level-major layout keeps existing slices in place on growth.
       slices_.resize((levels_ + 1) * words_, 0);
       std::copy(carry_.begin(), carry_.end(),

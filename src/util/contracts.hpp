@@ -28,11 +28,6 @@
 /// statically resolved callee, flagging dense Hypervector construction,
 /// PackedHv::from_dense, and explicit heap allocation (new / malloc /
 /// make_unique / make_shared). Place it directly before the declaration
-/// and repeat it on the out-of-line definition so both lint engines (the
-/// clang-tidy plugin reads the attribute, the fallback engine reads the
-/// token) see it wherever they look.
-#if defined(__clang__)
-#define HDTEST_HOT_PATH [[clang::annotate("hdtest::hot_path")]]
-#else
+/// and repeat it on the out-of-line definition so the checker, which reads
+/// the token, sees it wherever it looks.
 #define HDTEST_HOT_PATH
-#endif

@@ -14,5 +14,8 @@ namespace hdtest::util::simd {
 [[nodiscard]] const Kernels* avx2_kernels() noexcept;
 [[nodiscard]] const Kernels* avx512_kernels() noexcept;
 [[nodiscard]] const Kernels* neon_kernels() noexcept;
+/// The scalar reference backend: always compiled, always available, never
+/// auto-selected.
+[[nodiscard]] const Kernels* oracle_kernels() noexcept;
 
 }  // namespace hdtest::util::simd

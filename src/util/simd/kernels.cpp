@@ -82,6 +82,7 @@ const CpuFeatures& cpu() noexcept {
 
 bool cpu_supports(const Kernels& k) noexcept {
   if (std::strcmp(k.name, "swar") == 0) return true;
+  if (std::strcmp(k.name, "oracle") == 0) return true;
   if (std::strcmp(k.name, "avx2") == 0) return cpu().avx2;
   if (std::strcmp(k.name, "avx512") == 0) {
     return cpu().avx512f && cpu().avx512vpopcntdq;
@@ -90,12 +91,14 @@ bool cpu_supports(const Kernels& k) noexcept {
   return false;
 }
 
-/// Compiled backends in descending preference order (best first).
+/// Compiled backends in descending preference order (best first). The
+/// scalar oracle comes last, behind SWAR, so default selection (front of the
+/// available list) can never pick it.
 const std::vector<const Kernels*>& registry() noexcept {
   static const std::vector<const Kernels*> backends = [] {
     std::vector<const Kernels*> out;
-    for (const Kernels* k :
-         {avx512_kernels(), avx2_kernels(), neon_kernels(), swar_kernels()}) {
+    for (const Kernels* k : {avx512_kernels(), avx2_kernels(), neon_kernels(),
+                             swar_kernels(), oracle_kernels()}) {
       if (k != nullptr) out.push_back(k);
     }
     return out;

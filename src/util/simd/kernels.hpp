@@ -1,29 +1,35 @@
 #pragma once
 /// \file kernels.hpp
-/// Runtime-dispatched SIMD kernel layer for the packed hot paths.
+/// The kernel table: the one dispatch layer for the packed hot paths.
 ///
-/// Every steady-state cycle of the fuzz loop burns inside a handful of
-/// word-parallel kernels: XOR+popcount class sweeps, the Harley–Seal CSA
-/// bundling ladder, the fused Eq. 1 bipolarize, and the bit-sliced delta
-/// re-encoder's patch/threshold passes. These map directly onto wide vector
-/// lanes (Schmuck et al., JETC'19), so each kernel is provided by several
-/// backends:
+/// Every steady-state cycle of the fuzz loop (mutate -> encode -> AM
+/// distance, paper Alg. 1) burns inside six word-parallel kernels: XOR +
+/// popcount, the Harley–Seal CSA bundling ladder, the delta re-encoder's
+/// patch pass, the two Eq. 1 bipolarize forms, and the query-blocked
+/// associative-memory sweep. These map directly onto wide vector lanes
+/// (Schmuck et al., JETC'19), so each kernel is provided by several
+/// backends behind one function-pointer table:
 ///
-///   swar    portable uint64 SWAR — always compiled, always correct; the
-///           reference every other backend must agree with bit-for-bit.
-///   avx2    256-bit lanes; popcount via the vpshufb nibble-LUT + psadbw
-///           reduction (Mula's method).
 ///   avx512  512-bit lanes with native VPOPCNTDQ popcounts (requires
 ///           AVX-512F + VPOPCNTDQ).
+///   avx2    256-bit lanes; popcount via the vpshufb nibble-LUT + psadbw
+///           reduction (Mula's method).
 ///   neon    aarch64 only: vcnt-based popcounts; the remaining kernels fall
 ///           back to SWAR.
+///   swar    portable uint64 SWAR — always compiled, always available; the
+///           fallback when nothing wider is supported.
+///   oracle  straight-line scalar loops sharing no code with the others —
+///           the executable specification every backend must match
+///           bit-for-bit. Always available, never auto-selected.
 ///
-/// One backend is selected at startup: explicitly via the
-/// HDTEST_KERNEL_BACKEND environment variable ("swar" / "avx2" / "avx512" /
-/// "neon"; unknown or unsupported values warn and fall back), otherwise the
-/// best backend the CPU supports (detected via CPUID + XGETBV so AVX state
-/// must actually be OS-enabled). All backends produce identical bits for
-/// identical inputs — property tests sweep every compiled backend.
+/// Callers (the encoders, PackedAssocMemory, BitSliceAccumulator, MappedModel
+/// serving) call kernels() and invoke the table directly. One backend is
+/// selected at startup: explicitly via the HDTEST_KERNEL_BACKEND environment
+/// variable ("avx512" / "avx2" / "neon" / "swar" / "oracle"; unknown or
+/// unsupported values warn and fall back), otherwise the best backend the
+/// CPU supports (detected via CPUID + XGETBV so AVX state must actually be
+/// OS-enabled). All backends produce identical bits for identical inputs —
+/// the property tests diff every available backend against oracle.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,7 +41,7 @@ namespace hdtest::util::simd {
 /// Function-pointer table of one kernel backend. All functions are pure
 /// word/lane transforms with caller-owned storage; none allocate or throw.
 struct Kernels {
-  /// Backend identifier: "swar", "avx2", "avx512", or "neon".
+  /// Backend identifier: "avx512", "avx2", "neon", "swar", or "oracle".
   const char* name;
 
   /// popcount(a[i] ^ b[i]) summed over \p words words (packed Hamming
@@ -103,13 +109,13 @@ struct Kernels {
 /// override, else best supported); subsequent calls are one atomic load.
 [[nodiscard]] const Kernels& kernels() noexcept;
 
-/// Every backend compiled into this binary (SWAR always; AVX2/AVX-512 when
-/// the compiler could target them; NEON on aarch64) — including ones this
-/// CPU cannot run.
+/// Every backend compiled into this binary (SWAR and oracle always;
+/// AVX2/AVX-512 when the compiler could target them; NEON on aarch64) —
+/// including ones this CPU cannot run. Preference order, oracle last.
 [[nodiscard]] std::span<const Kernels* const> registered_kernels() noexcept;
 
 /// Compiled backends this CPU can actually execute (the set the property
-/// tests sweep). Never empty: SWAR is always present.
+/// tests sweep). Never empty: SWAR and oracle are always present.
 [[nodiscard]] std::span<const Kernels* const> available_kernels() noexcept;
 
 /// Test hook: forces the named backend (must be available). Passing nullptr

@@ -1,7 +1,8 @@
 /// \file kernels_swar.cpp
 /// Portable SWAR backend — uint64 word parallelism only, no ISA extensions.
-/// Always compiled, always selectable; this is the bit-exact reference the
-/// vector backends are property-tested against, and the code is the former
+/// Always compiled, always selectable; the fallback when the CPU offers no
+/// wider backend. Like every backend it is property-tested against the
+/// scalar oracle (kernels_oracle.cpp). The code is the former
 /// inline hot-path bodies of util::BitSliceAccumulator,
 /// Accumulator::bipolarize_packed, and the delta re-encoder, moved behind
 /// the kernel table verbatim.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,34 +18,13 @@
 namespace hdtest::fuzz {
 namespace {
 
-/// Everything except the wall-clock fields must match bit-for-bit. The
-/// field-by-field EXPECTs give readable diagnostics; the final catch-all is
-/// the library's own predicate (shared with the bench gates).
-void expect_identical_records(const CampaignResult& a,
-                              const CampaignResult& b) {
-  EXPECT_TRUE(identical_records(a, b));
-  EXPECT_EQ(a.gave_up, b.gave_up);
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const auto& ra = a.records[i];
-    const auto& rb = b.records[i];
-    EXPECT_EQ(ra.image_index, rb.image_index) << "record " << i;
-    EXPECT_EQ(ra.true_label, rb.true_label) << "record " << i;
-    EXPECT_EQ(ra.outcome.success, rb.outcome.success) << "record " << i;
-    EXPECT_EQ(ra.outcome.reference_label, rb.outcome.reference_label);
-    EXPECT_EQ(ra.outcome.iterations, rb.outcome.iterations) << "record " << i;
-    EXPECT_EQ(ra.outcome.encodes, rb.outcome.encodes) << "record " << i;
-    EXPECT_EQ(ra.outcome.discarded, rb.outcome.discarded) << "record " << i;
-    if (ra.outcome.success) {
-      EXPECT_EQ(ra.outcome.adversarial, rb.outcome.adversarial)
-          << "record " << i;
-      EXPECT_EQ(ra.outcome.adversarial_label, rb.outcome.adversarial_label);
-      EXPECT_EQ(ra.outcome.perturbation.l1, rb.outcome.perturbation.l1);
-      EXPECT_EQ(ra.outcome.perturbation.l2, rb.outcome.perturbation.l2);
-      EXPECT_EQ(ra.outcome.perturbation.linf, rb.outcome.perturbation.linf);
-      EXPECT_EQ(ra.outcome.perturbation.pixels_changed,
-                rb.outcome.perturbation.pixels_changed);
-    }
+/// Everything except the wall-clock fields must match bit-for-bit, by the
+/// library's own predicate (shared with the bench gates). A failure names
+/// the first diverging stream and field.
+void expect_identical_records(const CampaignResult& expected,
+                              const CampaignResult& actual) {
+  if (const auto diff = first_divergence(expected, actual)) {
+    ADD_FAILURE() << "records diverge: " << diff->describe();
   }
 }
 
@@ -95,6 +75,47 @@ TEST_F(ShardDeterminismTest, TargetModeIsBitIdenticalAcrossWorkerCounts) {
     config.workers = workers;
     expect_identical_records(reference, run_campaign(fuzzer, inputs(), config));
   }
+}
+
+TEST_F(ShardDeterminismTest, FirstDivergenceNamesTheStreamAndField) {
+  const GaussNoiseMutation strategy;
+  const Fuzzer fuzzer(model(), strategy, FuzzConfig{});
+  CampaignConfig config;
+  config.max_images = 6;
+  config.seed = 4;
+  const auto reference = run_campaign(fuzzer, inputs(), config);
+  ASSERT_EQ(reference.records.size(), 6u);
+  EXPECT_FALSE(first_divergence(reference, reference));
+  EXPECT_TRUE(identical_records(reference, reference));
+
+  // One field of one record changed: the report names exactly that stream
+  // and field with both values, and the predicate agrees.
+  auto doctored = reference;
+  auto& outcome = doctored.records[4].outcome;
+  outcome.iterations += 3;
+  const auto diff = first_divergence(reference, doctored);
+  ASSERT_TRUE(diff);
+  EXPECT_EQ(diff->stream, 4u);
+  EXPECT_EQ(diff->field, "iterations");
+  EXPECT_EQ(diff->expected,
+            std::to_string(reference.records[4].outcome.iterations));
+  EXPECT_EQ(diff->actual, std::to_string(outcome.iterations));
+  EXPECT_EQ(diff->describe(), "stream 4, field iterations: expected " +
+                                  diff->expected + ", actual " + diff->actual);
+  EXPECT_FALSE(identical_records(reference, doctored));
+
+  // Result-level mismatches: a dropped record, then gave_up alone.
+  auto short_result = reference;
+  short_result.records.pop_back();
+  const auto count_diff = first_divergence(reference, short_result);
+  ASSERT_TRUE(count_diff);
+  EXPECT_EQ(count_diff->field, "record_count");
+  EXPECT_EQ(count_diff->stream, 5u);
+  auto gave_up = reference;
+  gave_up.gave_up = !reference.gave_up;
+  const auto gave_up_diff = first_divergence(reference, gave_up);
+  ASSERT_TRUE(gave_up_diff);
+  EXPECT_EQ(gave_up_diff->field, "gave_up");
 }
 
 TEST_F(ShardDeterminismTest, WrapAroundPathIsBitIdentical) {

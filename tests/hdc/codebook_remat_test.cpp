@@ -2,9 +2,9 @@
 // (no stored codebook mirrors; rows regenerate from the seed per encode)
 // must be bit-identical to the stored-mirror model in everything it
 // computes — predictions, packed encodes, fuzz campaign records — across
-// every kernel backend, every compute device, and both serving modes
-// (owning encoder and mmap-served file). Also pins the rematerialization
-// counter semantics: stored-mode paths never rematerialize a row, remat
+// every available kernel backend, diffed against the scalar oracle backend,
+// and both serving modes (owning encoder and mmap-served file). Also pins
+// the rematerialization counter semantics: stored-mode paths never rematerialize a row, remat
 // paths never touch mirror storage.
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 
 #include "backend_guard.hpp"
 #include "data/synthetic_digits.hpp"
-#include "device_guard.hpp"
 #include "fuzz/campaign.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/mutation.hpp"
@@ -69,34 +68,32 @@ class ModelFile {
 };
 
 // The tentpole acceptance sweep: dims covering word-tail boundaries and
-// production scale, every available kernel backend, both devices, stored vs
-// remat, owning vs mapped — one bit-identical prediction vector per cell.
+// production scale, every available kernel backend, stored vs remat,
+// owning vs mapped — one bit-identical prediction vector per cell, the
+// expected one computed on the scalar oracle backend. Training itself runs
+// on the default backend, so the cells also diff it against the oracle.
 TEST(CodebookRemat, PredictionsBitIdenticalAcrossEveryCell) {
   for (const std::size_t dim : {63u, 64u, 65u, 4096u, 16384u}) {
     const auto stored = trained(config_for(dim, CodebookMode::kStored));
     const auto remat = trained(config_for(dim, CodebookMode::kRemat));
-    const auto expected = stored.predict_batch(digits().test.images);
+    const auto expected = [&] {
+      BackendGuard oracle("oracle");
+      return stored.predict_batch(digits().test.images);
+    }();
     const ModelFile stored_file(stored, "cellstored");
     const ModelFile remat_file(remat, "cellremat");
     for (const auto* backend : util::simd::available_kernels()) {
       BackendGuard kernel_guard(backend->name);
-      for (const auto* device : registered_devices()) {
-        DeviceGuard device_guard(device->name());
-        EXPECT_EQ(remat.predict_batch(digits().test.images), expected)
-            << "owning dim=" << dim << " backend=" << backend->name
-            << " device=" << device->name();
-        EXPECT_EQ(stored.predict_batch(digits().test.images), expected)
-            << "stored dim=" << dim << " backend=" << backend->name
-            << " device=" << device->name();
-        const MappedModel mapped_stored(stored_file.path());
-        const MappedModel mapped_remat(remat_file.path());
-        EXPECT_EQ(mapped_stored.predict_batch(digits().test.images), expected)
-            << "mapped-stored dim=" << dim << " backend=" << backend->name
-            << " device=" << device->name();
-        EXPECT_EQ(mapped_remat.predict_batch(digits().test.images), expected)
-            << "mapped-remat dim=" << dim << " backend=" << backend->name
-            << " device=" << device->name();
-      }
+      EXPECT_EQ(remat.predict_batch(digits().test.images), expected)
+          << "owning dim=" << dim << " backend=" << backend->name;
+      EXPECT_EQ(stored.predict_batch(digits().test.images), expected)
+          << "stored dim=" << dim << " backend=" << backend->name;
+      const MappedModel mapped_stored(stored_file.path());
+      const MappedModel mapped_remat(remat_file.path());
+      EXPECT_EQ(mapped_stored.predict_batch(digits().test.images), expected)
+          << "mapped-stored dim=" << dim << " backend=" << backend->name;
+      EXPECT_EQ(mapped_remat.predict_batch(digits().test.images), expected)
+          << "mapped-remat dim=" << dim << " backend=" << backend->name;
     }
   }
 }
@@ -124,7 +121,8 @@ TEST(CodebookRemat, PackedEncodesAgreeForCorrelatedValueStrategies) {
 
 TEST(CodebookRemat, CampaignRecordsBitIdenticalAcrossStorageAndDevices) {
   // run_campaign records must not depend on codebook storage mode or the
-  // compute device — the full differential-fuzzing observable surface.
+  // kernel backend — the full differential-fuzzing observable surface. The
+  // reference run is the stored model on the scalar oracle backend.
   const auto stored = trained(config_for(2048, CodebookMode::kStored));
   const auto remat = trained(config_for(2048, CodebookMode::kRemat));
   const fuzz::GaussNoiseMutation strategy;
@@ -136,18 +134,24 @@ TEST(CodebookRemat, CampaignRecordsBitIdenticalAcrossStorageAndDevices) {
   campaign.max_images = 4;
   campaign.workers = 2;
 
-  const auto baseline =
-      fuzz::run_campaign(stored_fuzzer, digits().test, campaign);
-  for (const auto* device : registered_devices()) {
-    DeviceGuard guard(device->name());
+  const auto baseline = [&] {
+    BackendGuard oracle("oracle");
+    return fuzz::run_campaign(stored_fuzzer, digits().test, campaign);
+  }();
+  for (const auto* backend : util::simd::available_kernels()) {
+    BackendGuard guard(backend->name);
     const auto stored_result =
         fuzz::run_campaign(stored_fuzzer, digits().test, campaign);
     const auto remat_result =
         fuzz::run_campaign(remat_fuzzer, digits().test, campaign);
-    EXPECT_TRUE(fuzz::identical_records(baseline, stored_result))
-        << "stored device=" << device->name();
-    EXPECT_TRUE(fuzz::identical_records(baseline, remat_result))
-        << "remat device=" << device->name();
+    if (const auto diff = fuzz::first_divergence(baseline, stored_result)) {
+      ADD_FAILURE() << "stored backend=" << backend->name << ": "
+                    << diff->describe();
+    }
+    if (const auto diff = fuzz::first_divergence(baseline, remat_result)) {
+      ADD_FAILURE() << "remat backend=" << backend->name << ": "
+                    << diff->describe();
+    }
   }
 }
 

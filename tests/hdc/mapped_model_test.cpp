@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -170,15 +173,34 @@ TEST(MappedModel, VerifyChecksumOffStillServesIdentically) {
 
 TEST(MappedModel, RejectsLegacyFormatsAndMissingFiles) {
   const auto model = trained_model();
+  std::ostringstream out;
+  save_model(model, out);
   for (const std::uint32_t version : {1u, 2u}) {
+    // A v1/v2 header: both loaders refuse it on the version field alone.
+    std::string bytes = out.str();
+    std::memcpy(bytes.data() + 4, &version, sizeof version);
     const auto path =
         (std::filesystem::temp_directory_path() /
          ("hdtest_mapped_legacy_v" + std::to_string(version) + ".hdtm"))
             .string();
-    save_model(model, path, version);
-    EXPECT_THROW(MappedModel{path}, std::runtime_error);
-    // The stream loader still reads them.
-    EXPECT_NO_THROW((void)load_model(path));
+    {
+      std::ofstream file(path, std::ios::binary);
+      file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    const std::string expected =
+        "load_model: unsupported format version " + std::to_string(version);
+    try {
+      const MappedModel mapped(path);
+      ADD_FAILURE() << "mapped a version " << version << " file";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(error.what(), expected);
+    }
+    try {
+      (void)load_model(path);
+      ADD_FAILURE() << "loaded a version " << version << " file";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(error.what(), expected);
+    }
     std::filesystem::remove(path);
   }
   EXPECT_THROW(MappedModel{"/nonexistent_zzz/model.hdtm"}, std::runtime_error);

@@ -1,26 +1,61 @@
-// Property tests for the runtime-dispatched SIMD kernel layer: every
-// compiled-and-supported backend must agree bit-for-bit with the portable
-// SWAR reference on every kernel, across word counts that straddle the
-// vector widths (1/2/4/8-word boundaries plus the paper's operating
-// points). Also covers the selection API itself (registry shape, forced
-// selection, unknown-name rejection).
+// Property tests for the kernel table: every available backend must agree
+// bit-for-bit with the scalar oracle backend on every kernel. The shapes
+// are the edge cases (word counts straddling the 1/2/4/8-word vector
+// widths plus larger mixed tails) followed by shapes drawn from a seeded
+// util::Rng: words 1-300, ladder levels 1-12, classes 1-32 with duplicate
+// prototype rows so ties occur, and ref_class at the first and last class.
+// SWAR is one of the backends swept, so every backend also matches SWAR.
+// Also covers the selection API itself (registry shape, forced selection,
+// unknown-name rejection, the oracle never being auto-selected).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
 
+#include "util/bitops.hpp"
 #include "util/rng.hpp"
 #include "util/simd/kernels.hpp"
 
 namespace hdtest::util::simd {
 namespace {
 
-/// Word counts straddling every backend's vector width (SWAR 1, NEON 2,
-/// AVX2 4, AVX-512 8 words per op) plus larger mixed-tail sizes.
-const std::size_t kWordCounts[] = {1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 128, 129};
+/// One block shape: packed word count, bit-slice ladder depth, and AM
+/// class count.
+struct Shape {
+  std::size_t words = 1;
+  std::size_t levels = 1;
+  std::size_t classes = 1;
+};
+
+/// Edge shapes, then kSeededShapes shapes from a fixed-seed Rng — the same
+/// list every run, so a failure names a reproducible shape.
+std::vector<Shape> shapes() {
+  constexpr std::size_t kSeededShapes = 24;
+  const std::size_t edge_words[] = {1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 128, 129};
+  const std::size_t edge_levels[] = {1, 2, 3, 5, 11, 12};
+  const std::size_t edge_classes[] = {1, 2, 7, 32};
+  std::vector<Shape> out;
+  for (std::size_t i = 0; i < std::size(edge_words); ++i) {
+    out.push_back({edge_words[i], edge_levels[i % std::size(edge_levels)],
+                   edge_classes[i % std::size(edge_classes)]});
+  }
+  Rng rng(0x5eed5a9e);
+  for (std::size_t i = 0; i < kSeededShapes; ++i) {
+    out.push_back({1 + rng.uniform_u64(300), 1 + rng.uniform_u64(12),
+                   1 + rng.uniform_u64(32)});
+  }
+  return out;
+}
+
+std::ostream& operator<<(std::ostream& os, const Shape& shape) {
+  return os << "words=" << shape.words << " levels=" << shape.levels
+            << " classes=" << shape.classes;
+}
 
 std::vector<std::uint64_t> random_words(std::size_t n, Rng& rng) {
   std::vector<std::uint64_t> out(n);
@@ -28,11 +63,11 @@ std::vector<std::uint64_t> random_words(std::size_t n, Rng& rng) {
   return out;
 }
 
-const Kernels& swar() {
-  for (const Kernels* k : registered_kernels()) {
-    if (std::strcmp(k->name, "swar") == 0) return *k;
+const Kernels& oracle() {
+  for (const Kernels* k : available_kernels()) {
+    if (std::strcmp(k->name, "oracle") == 0) return *k;
   }
-  throw std::logic_error("SWAR backend missing from the registry");
+  throw std::logic_error("oracle backend missing from the available list");
 }
 
 TEST(SimdRegistry, SwarIsAlwaysRegisteredAndAvailable) {
@@ -47,6 +82,21 @@ TEST(SimdRegistry, SwarIsAlwaysRegisteredAndAvailable) {
     EXPECT_TRUE(registered) << k->name;
   }
   EXPECT_TRUE(found);
+}
+
+TEST(SimdRegistry, OracleIsAvailableLastAndNeverAutoSelected) {
+  ASSERT_FALSE(available_kernels().empty());
+  EXPECT_STREQ(available_kernels().back()->name, "oracle");
+  EXPECT_STREQ(registered_kernels().back()->name, "oracle");
+  // Default selection picks the best backend; only an explicit
+  // HDTEST_KERNEL_BACKEND=oracle may select the oracle.
+  set_kernels_for_testing(nullptr);
+  const char* forced = std::getenv("HDTEST_KERNEL_BACKEND");
+  if (forced == nullptr || std::strcmp(forced, "oracle") != 0) {
+    EXPECT_STRNE(kernels().name, "oracle");
+  } else {
+    EXPECT_STREQ(kernels().name, "oracle");
+  }
 }
 
 TEST(SimdRegistry, ActiveBackendIsAvailable) {
@@ -76,48 +126,45 @@ TEST(SimdRegistry, ForcingEachAvailableBackendSticks) {
 
 TEST(SimdKernels, XorPopcountMatchesSwarEverywhere) {
   Rng rng(11);
-  for (const std::size_t n : kWordCounts) {
+  for (const Shape& shape : shapes()) {
+    const std::size_t n = shape.words;
     const auto a = random_words(n, rng);
     const auto b = random_words(n, rng);
-    const auto expected = swar().xor_popcount(a.data(), b.data(), n);
+    const auto expected = oracle().xor_popcount(a.data(), b.data(), n);
     for (const Kernels* k : available_kernels()) {
       EXPECT_EQ(k->xor_popcount(a.data(), b.data(), n), expected)
-          << k->name << " words=" << n;
+          << k->name << " " << shape;
+      // Identical inputs: distance zero on every backend.
+      EXPECT_EQ(k->xor_popcount(a.data(), a.data(), n), 0u)
+          << k->name << " " << shape;
     }
-  }
-  // Identical inputs: distance zero on every backend.
-  const auto a = random_words(16, rng);
-  for (const Kernels* k : available_kernels()) {
-    EXPECT_EQ(k->xor_popcount(a.data(), a.data(), 16), 0u) << k->name;
   }
 }
 
 TEST(SimdKernels, CsaAddMatchesSwarIncludingEscapes) {
   Rng rng(12);
-  for (const std::size_t words : kWordCounts) {
-    for (const std::size_t levels : {1u, 3u, 5u}) {
-      const auto bank0 = random_words(levels * words, rng);
-      const auto a = random_words(words, rng);
-      const auto b = random_words(words, rng);
-      for (const bool with_xor : {false, true}) {
-        auto expected_bank = bank0;
-        // All-zero on entry, per the csa_add contract.
-        std::vector<std::uint64_t> expected_carry(words, 0);
-        const bool expected_escape = swar().csa_add(
-            expected_bank.data(), words, levels, a.data(),
-            with_xor ? b.data() : nullptr, expected_carry.data());
-        for (const Kernels* k : available_kernels()) {
-          auto bank = bank0;
-          std::vector<std::uint64_t> carry(words, 0);
-          const bool escape =
-              k->csa_add(bank.data(), words, levels, a.data(),
-                         with_xor ? b.data() : nullptr, carry.data());
-          EXPECT_EQ(escape, expected_escape) << k->name << " words=" << words;
-          EXPECT_EQ(bank, expected_bank)
-              << k->name << " words=" << words << " levels=" << levels;
-          EXPECT_EQ(carry, expected_carry)
-              << k->name << " words=" << words << " levels=" << levels;
-        }
+  for (const Shape& shape : shapes()) {
+    const std::size_t words = shape.words;
+    const std::size_t levels = shape.levels;
+    const auto bank0 = random_words(levels * words, rng);
+    const auto a = random_words(words, rng);
+    const auto b = random_words(words, rng);
+    for (const bool with_xor : {false, true}) {
+      auto expected_bank = bank0;
+      // All-zero on entry, per the csa_add contract.
+      std::vector<std::uint64_t> expected_carry(words, 0);
+      const bool expected_escape = oracle().csa_add(
+          expected_bank.data(), words, levels, a.data(),
+          with_xor ? b.data() : nullptr, expected_carry.data());
+      for (const Kernels* k : available_kernels()) {
+        auto bank = bank0;
+        std::vector<std::uint64_t> carry(words, 0);
+        const bool escape =
+            k->csa_add(bank.data(), words, levels, a.data(),
+                       with_xor ? b.data() : nullptr, carry.data());
+        EXPECT_EQ(escape, expected_escape) << k->name << " " << shape;
+        EXPECT_EQ(bank, expected_bank) << k->name << " " << shape;
+        EXPECT_EQ(carry, expected_carry) << k->name << " " << shape;
       }
     }
   }
@@ -125,65 +172,73 @@ TEST(SimdKernels, CsaAddMatchesSwarIncludingEscapes) {
 
 TEST(SimdKernels, CsaPatchMatchesSwar) {
   Rng rng(13);
-  for (const std::size_t words : kWordCounts) {
-    // Deep bank with zeroed top levels: realistic bias headroom, so the
-    // ripple terminates inside the bank just like the re-encoder's use.
-    const std::size_t levels = 8;
+  for (const Shape& shape : shapes()) {
+    const std::size_t words = shape.words;
+    // Zeroed top two levels give the bias headroom the re-encoder
+    // guarantees (a patch adds at most 6 per lane), so the ripple
+    // terminates inside the bank just like the re-encoder's use.
+    const std::size_t levels = std::max<std::size_t>(shape.levels, 3);
     auto bank0 = random_words(levels * words, rng);
-    for (std::size_t i = 5 * words; i < bank0.size(); ++i) bank0[i] = 0;
+    const auto top = static_cast<std::ptrdiff_t>((levels - 2) * words);
+    std::fill(bank0.begin() + top, bank0.end(), 0);
     const auto pos = random_words(words, rng);
     const auto old_val = random_words(words, rng);
     const auto new_val = random_words(words, rng);
     auto expected = bank0;
-    swar().csa_patch(expected.data(), words, levels, pos.data(),
-                     old_val.data(), new_val.data());
+    oracle().csa_patch(expected.data(), words, levels, pos.data(),
+                       old_val.data(), new_val.data());
     for (const Kernels* k : available_kernels()) {
       auto bank = bank0;
       k->csa_patch(bank.data(), words, levels, pos.data(), old_val.data(),
                    new_val.data());
-      EXPECT_EQ(bank, expected) << k->name << " words=" << words;
+      EXPECT_EQ(bank, expected) << k->name << " " << shape;
     }
   }
 }
 
 TEST(SimdKernels, BipolarizePackedMatchesSwar) {
   Rng rng(14);
-  for (const std::size_t dim : {63u, 64u, 65u, 1000u, 8192u}) {
-    const std::size_t words = (dim + 63) / 64;
-    std::vector<std::int32_t> lanes(dim);
+  for (const Shape& shape : shapes()) {
+    const std::size_t words = shape.words;
+    // A lane count ending anywhere inside the last word (tails included).
+    const std::size_t n = words * 64 - rng.uniform_u64(64);
+    std::vector<std::int32_t> lanes(n);
     for (auto& lane : lanes) {
       lane = static_cast<std::int32_t>(rng.uniform_u64(7)) - 3;  // -3..3
     }
     const auto tb = random_words(words, rng);
-    std::vector<std::uint64_t> expected(words, 0);
-    swar().bipolarize_packed(lanes.data(), dim, tb.data(), expected.data());
+    std::vector<std::uint64_t> expected(words, ~0ULL);
+    oracle().bipolarize_packed(lanes.data(), n, tb.data(), expected.data());
+    // Tail bits past n are zero by contract.
+    EXPECT_EQ(expected.back() & ~tail_mask(n), 0u) << shape;
     for (const Kernels* k : available_kernels()) {
-      std::vector<std::uint64_t> out(words, 0);
-      k->bipolarize_packed(lanes.data(), dim, tb.data(), out.data());
-      EXPECT_EQ(out, expected) << k->name << " dim=" << dim;
+      std::vector<std::uint64_t> out(words, ~0ULL);
+      k->bipolarize_packed(lanes.data(), n, tb.data(), out.data());
+      EXPECT_EQ(out, expected) << k->name << " n=" << n;
     }
   }
 }
 
 TEST(SimdKernels, SliceBipolarizeMatchesSwar) {
   Rng rng(15);
-  for (const std::size_t words : kWordCounts) {
-    for (const std::size_t levels : {1u, 4u, 11u}) {
-      const auto bank = random_words(levels * words, rng);
-      const auto tb = random_words(words, rng);
-      for (const std::uint32_t threshold :
-           {0u, 1u, (1u << levels) - 1, 1u << (levels - 1)}) {
-        std::vector<std::uint64_t> expected(words, 0);
-        swar().slice_bipolarize(bank.data(), words, levels, threshold,
+  for (const Shape& shape : shapes()) {
+    const std::size_t words = shape.words;
+    const std::size_t levels = shape.levels;
+    const auto bank = random_words(levels * words, rng);
+    const auto tb = random_words(words, rng);
+    const std::uint32_t max_count = (1u << levels) - 1;
+    for (const std::uint32_t threshold :
+         {0u, 1u, max_count, 1u << (levels - 1),
+          static_cast<std::uint32_t>(rng.uniform_u64(max_count + 1u))}) {
+      std::vector<std::uint64_t> expected(words, 0);
+      oracle().slice_bipolarize(bank.data(), words, levels, threshold,
                                 tb.data(), expected.data());
-        for (const Kernels* k : available_kernels()) {
-          std::vector<std::uint64_t> out(words, 0);
-          k->slice_bipolarize(bank.data(), words, levels, threshold,
-                              tb.data(), out.data());
-          EXPECT_EQ(out, expected)
-              << k->name << " words=" << words << " levels=" << levels
-              << " threshold=" << threshold;
-        }
+      for (const Kernels* k : available_kernels()) {
+        std::vector<std::uint64_t> out(words, 0);
+        k->slice_bipolarize(bank.data(), words, levels, threshold, tb.data(),
+                            out.data());
+        EXPECT_EQ(out, expected)
+            << k->name << " " << shape << " threshold=" << threshold;
       }
     }
   }
@@ -191,57 +246,57 @@ TEST(SimdKernels, SliceBipolarizeMatchesSwar) {
 
 TEST(SimdKernels, AmSweepMatchesSwarWithAndWithoutRef) {
   Rng rng(16);
-  for (const std::size_t stride : {1u, 2u, 16u, 128u}) {
-    const std::size_t classes = 7;
-    const auto am = random_words(classes * stride, rng);
+  for (const Shape& shape : shapes()) {
+    const std::size_t stride = shape.words;
+    const std::size_t classes = shape.classes;
+    auto am = random_words(classes * stride, rng);
+    // Duplicate prototype rows: the last class repeats the first, so a
+    // query equal to that row ties at distance zero and the lowest class
+    // index must win.
+    if (classes > 1) {
+      const auto last = static_cast<std::ptrdiff_t>((classes - 1) * stride);
+      std::copy_n(am.begin(), stride, am.begin() + last);
+    }
     const std::size_t count = 13;
+    const auto first_row = static_cast<std::ptrdiff_t>(stride);
     std::vector<std::vector<std::uint64_t>> queries;
     std::vector<const std::uint64_t*> qptrs;
     for (std::size_t q = 0; q < count; ++q) {
-      queries.push_back(random_words(stride, rng));
-      qptrs.push_back(queries.back().data());
+      // Query 2 equals the first (and duplicated last) prototype row.
+      queries.push_back(q == 2 ? std::vector<std::uint64_t>(
+                                     am.begin(), am.begin() + first_row)
+                               : random_words(stride, rng));
     }
-    for (const std::uint32_t ref_class : {0u, 3u, 6u}) {
+    for (const auto& query : queries) qptrs.push_back(query.data());
+    for (const std::uint32_t ref_class :
+         {0u, static_cast<std::uint32_t>(classes - 1)}) {
       std::vector<std::uint32_t> expected_cls(count);
       std::vector<std::uint64_t> expected_ham(count);
       std::vector<std::uint64_t> expected_ref(count);
-      swar().am_sweep(am.data(), classes, stride, qptrs.data(), count,
-                      expected_cls.data(), expected_ham.data(),
-                      expected_ref.data(), ref_class);
-      // Reference semantics: argmin Hamming, lowest index wins.
-      for (std::size_t q = 0; q < count; ++q) {
-        std::size_t best = 0;
-        std::size_t best_ham =
-            swar().xor_popcount(am.data(), qptrs[q], stride);
-        for (std::size_t c = 1; c < classes; ++c) {
-          const auto ham = swar().xor_popcount(am.data() + c * stride,
-                                               qptrs[q], stride);
-          if (ham < best_ham) {
-            best = c;
-            best_ham = ham;
-          }
-        }
-        ASSERT_EQ(expected_cls[q], best);
-        ASSERT_EQ(expected_ham[q], best_ham);
-        ASSERT_EQ(expected_ref[q], swar().xor_popcount(
-                                       am.data() + ref_class * stride,
-                                       qptrs[q], stride));
-      }
+      oracle().am_sweep(am.data(), classes, stride, qptrs.data(), count,
+                        expected_cls.data(), expected_ham.data(),
+                        expected_ref.data(), ref_class);
+      ASSERT_EQ(expected_cls[2], 0u) << shape;
+      ASSERT_EQ(expected_ham[2], 0u) << shape;
       for (const Kernels* k : available_kernels()) {
         std::vector<std::uint32_t> cls(count);
         std::vector<std::uint64_t> ham(count);
         std::vector<std::uint64_t> ref(count);
         k->am_sweep(am.data(), classes, stride, qptrs.data(), count,
                     cls.data(), ham.data(), ref.data(), ref_class);
-        EXPECT_EQ(cls, expected_cls) << k->name << " stride=" << stride;
-        EXPECT_EQ(ham, expected_ham) << k->name << " stride=" << stride;
-        EXPECT_EQ(ref, expected_ref) << k->name << " stride=" << stride;
+        EXPECT_EQ(cls, expected_cls)
+            << k->name << " " << shape << " ref_class=" << ref_class;
+        EXPECT_EQ(ham, expected_ham)
+            << k->name << " " << shape << " ref_class=" << ref_class;
+        EXPECT_EQ(ref, expected_ref)
+            << k->name << " " << shape << " ref_class=" << ref_class;
         // Null ref_ham: labels unchanged, no ref output required.
         std::vector<std::uint32_t> cls2(count);
         std::vector<std::uint64_t> ham2(count);
         k->am_sweep(am.data(), classes, stride, qptrs.data(), count,
                     cls2.data(), ham2.data(), nullptr, ref_class);
-        EXPECT_EQ(cls2, expected_cls) << k->name;
+        EXPECT_EQ(cls2, expected_cls) << k->name << " " << shape;
+        EXPECT_EQ(ham2, expected_ham) << k->name << " " << shape;
       }
     }
   }

@@ -1,10 +1,10 @@
 #pragma once
 /// \file checks.hpp
 /// The four hdtest-tidy checks, implemented over the token-level source
-/// model. Each check mirrors the clang-tidy plugin check of the same name
-/// (tools/hdtest-tidy/plugin/) and emits identically-formatted diagnostics,
-/// so CI output and NOLINT suppressions are interchangeable between the two
-/// engines.
+/// model. These four functions are the only definition of the checks; the
+/// diagnostics use clang-tidy's format and check names, so editors, CI
+/// annotations, and NOLINT suppressions treat them like any clang-tidy
+/// finding.
 
 #include <string>
 #include <vector>

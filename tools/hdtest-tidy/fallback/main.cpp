@@ -1,5 +1,5 @@
 /// \file main.cpp
-/// hdtest-tidy fallback driver.
+/// hdtest-tidy driver.
 ///
 /// Usage:
 ///   hdtest-tidy [--check=NAME]... [--no-scope] [--list-checks] PATH...
@@ -7,8 +7,8 @@
 /// PATH arguments are files or directories (directories are walked for
 /// .cpp/.cc/.cxx/.hpp/.h). Diagnostics come out in clang-tidy's format
 /// ("path:line:col: warning: message [check-name]") so editors, CI
-/// annotations, and NOLINT comments behave identically whichever engine
-/// produced them. Exit status is 1 when any diagnostic is emitted.
+/// annotations, and NOLINT comments treat them like clang-tidy findings.
+/// Exit status is 1 when any diagnostic is emitted.
 ///
 /// Each check applies only inside its contract's scope (see --list-checks);
 /// --no-scope lifts the path filters, which the fixture tests use to lint
@@ -46,21 +46,26 @@ bool filename_is(const std::string& path, std::string_view stem) {
          (name.size() == stem.size() || name[stem.size()] == '.');
 }
 
+bool is_oracle_kernels(const std::string& path) {
+  return path_in(path, "src/util/simd/") && filename_is(path, "kernels_oracle");
+}
+
 bool in_determinism_scope(const std::string& path) {
   // src/obs/ is in scope MINUS its clock translation unit — that file is
   // the sanctioned wall-clock carve-out (obs::monotonic_ns), so the check
   // mechanically proves every other obs file stays clock-free.
-  // src/device/ is in scope: backend selection and every block operation
-  // must be bit-reproducible across runs.
+  // The scalar oracle kernel backend is in scope: it is the reference
+  // every other backend is diffed against, so it must be bit-reproducible
+  // across runs.
   return path_in(path, "src/fuzz/") || path_in(path, "src/defense/") ||
-         path_in(path, "src/device/") ||
+         is_oracle_kernels(path) ||
          (path_in(path, "src/obs/") && !filename_is(path, "clock"));
 }
 
 bool in_checked_arith_scope(const std::string& path) {
   return filename_is(path, "serialize") || filename_is(path, "mmap_file") ||
          path_in(path, "src/fuzz/fleet/durable/") ||
-         path_in(path, "src/obs/") || path_in(path, "src/device/") ||
+         path_in(path, "src/obs/") || is_oracle_kernels(path) ||
          (path_in(path, "src/fuzz/shard/") &&
           (filename_is(path, "ledger") || filename_is(path, "seed_bank"))) ||
          (path_in(path, "src/fuzz/fleet/") &&
@@ -87,7 +92,8 @@ void list_checks(std::ostream& os) {
         "    No ambient nondeterminism (unordered-container iteration, rand,\n"
         "    time, random_device, chrono ::now, thread ids) in campaign,\n"
         "    ledger, record, or report code. Scope: src/fuzz/, src/defense/,\n"
-        "    src/device/, src/obs/ (minus the clock.* wall-clock carve-out).\n"
+        "    src/util/simd/kernels_oracle.cpp, src/obs/ (minus the clock.*\n"
+        "    wall-clock carve-out).\n"
         "hdtest-dense-free\n"
         "    Functions reachable from an HDTEST_HOT_PATH annotation must not\n"
         "    materialize dense Hypervectors, call PackedHv::from_dense, or\n"
@@ -96,7 +102,8 @@ void list_checks(std::ostream& os) {
         "    Size arithmetic in wire-format code must go through\n"
         "    checked_mul/checked_add; raw-byte reads through BufReader.\n"
         "    Scope: serialize.*, mmap_file.*, shard ledger/seed_bank,\n"
-        "    fleet wire/protocol, fleet durable/, src/obs/, src/device/.\n"
+        "    fleet wire/protocol, fleet durable/, src/obs/,\n"
+        "    src/util/simd/kernels_oracle.cpp.\n"
         "hdtest-intrinsics-confined\n"
         "    Vendor SIMD intrinsics and headers only under src/util/simd/.\n"
         "    Scope: everything else.\n";

@@ -1,7 +1,7 @@
 #pragma once
 /// \file model.hpp
-/// Whole-project source model for the hdtest-tidy fallback engine: function
-/// definitions, HDTEST_HOT_PATH annotations, and a name-resolved call graph.
+/// Whole-project source model for hdtest-tidy: function definitions,
+/// HDTEST_HOT_PATH annotations, and a name-resolved call graph.
 ///
 /// Resolution is deliberately an over-approximation: calls are matched to
 /// every project function sharing the unqualified name (overloads and

@@ -590,13 +590,34 @@ bool bench_campaign_scaling(const hdtest::benchutil::Setup& setup,
 // SimFleet (virtual network, virtual clock) vs solo run_campaign(workers=1).
 // SimFleet is single-threaded, so the fleet rows serialize every leased
 // slice onto one thread — the records/sec ratio measures protocol cost plus
-// the fleet's speculative overshoot, NOT parallel speedup (the loopback
-// TcpCoordinator provides real concurrency; tier-1 tests cover it). The gate
-// is the tentpole contract itself: fuzz::first_divergence against the solo
-// records, re-proven in the optimized build both on a clean network and
-// under 5% frame corruption.
+// the streams the fleet executes per kept record, NOT parallel speedup (the
+// loopback TcpCoordinator provides real concurrency; tier-1 tests cover
+// it). Two gates, both on a clean network and under 5% frame corruption:
+// fuzz::first_divergence against the solo records (the determinism
+// contract), and bounded work — executed streams <= cut + block x
+// (3 x workers + faults injected), the budget the fleet sim tests hold.
 
-/// Returns false on any determinism violation. Emits one row per variant.
+/// Forwards to the production executor and counts the streams it runs.
+class CountingSliceExecutor final : public hdtest::fuzz::fleet::SliceExecutor {
+ public:
+  explicit CountingSliceExecutor(
+      hdtest::fuzz::fleet::SliceExecutor& inner) noexcept
+      : inner_(&inner) {}
+
+  [[nodiscard]] std::vector<hdtest::fuzz::CampaignRecord> execute(
+      const hdtest::fuzz::shard::StreamSlice& slice) override {
+    streams += slice.count;
+    return inner_->execute(slice);
+  }
+
+  std::size_t streams = 0;
+
+ private:
+  hdtest::fuzz::fleet::SliceExecutor* inner_;
+};
+
+/// Returns false on a determinism or bounded-work violation. Emits one row
+/// per variant.
 bool bench_campaign_federation(bool self_check_only,
                                std::vector<std::string>& json_rows) {
   using namespace hdtest;
@@ -633,21 +654,24 @@ bool bench_campaign_federation(bool self_check_only,
 
   util::TextTable table;
   table.set_header({"Variant", "Workers", "Records", "Time (s)",
-                    "Records/s", "Overhead vs solo", "Faults"});
+                    "Records/s", "Overhead vs solo", "Streams/kept",
+                    "Faults"});
   table.set_alignments({util::Align::kLeft, util::Align::kRight,
                         util::Align::kRight, util::Align::kRight,
                         util::Align::kRight, util::Align::kRight,
-                        util::Align::kRight});
+                        util::Align::kRight, util::Align::kRight});
   util::CsvWriter csv(benchutil::out_dir() + "/campaign_federation.csv");
   csv.header({"variant", "workers", "corrupt_pct", "records", "seconds",
-              "records_per_sec", "overhead_vs_solo", "faults_injected",
-              "identical"});
+              "records_per_sec", "overhead_vs_solo", "streams_per_kept",
+              "faults_injected", "identical"});
 
+  // run_campaign has no SliceExecutor to count through, so the solo row
+  // leaves streams/kept blank.
   table.add_row({"solo", "1", std::to_string(reference.records.size()),
                  util::TextTable::num(solo_seconds, 2),
-                 util::TextTable::num(solo_rps, 0), "1.00", "0"});
+                 util::TextTable::num(solo_rps, 0), "1.00", "-", "0"});
   csv.row("solo", 1, 0, reference.records.size(), solo_seconds, solo_rps,
-          1.0, 0, 1);
+          1.0, "", 0, 1);
   json_rows.push_back(
       JsonObject()
           .add("variant", "solo")
@@ -664,7 +688,7 @@ bool bench_campaign_federation(bool self_check_only,
     const char* name;
     unsigned corrupt_pct;
   };
-  std::size_t last_commits = 0;
+  constexpr std::size_t kFleetWorkers = 4;
   for (const Variant variant : {Variant{"fleet_clean", 0},
                                 Variant{"fleet_corrupt5", 5}}) {
     fuzz::fleet::FaultPlan plan;
@@ -672,8 +696,9 @@ bool bench_campaign_federation(bool self_check_only,
     plan.corrupt_pct = variant.corrupt_pct;
     plan.delay_pct = 20;
     plan.max_faults = 48;
+    CountingSliceExecutor counted(executor);
     fuzz::fleet::SimFleet fleet(planner, config.target_adversarials,
-                                /*workers=*/4, executor, plan);
+                                kFleetWorkers, counted, plan);
     const util::Stopwatch watch;
     const auto merged = fleet.run();
     const double seconds = watch.seconds();
@@ -682,28 +707,45 @@ bool bench_campaign_federation(bool self_check_only,
         std::string("federated records diverged from solo (") +
             variant.name + ")");
     if (!identical) ok = false;
+    const std::size_t cut = merged.records.size();
+    const std::size_t budget =
+        cut + planner.block_streams() *
+                  (3 * kFleetWorkers + fleet.faults_injected());
+    if (counted.streams > budget) {
+      std::printf("ERROR: fleet executed %zu streams for a cut of %zu, over "
+                  "its budget of %zu (%s)\n",
+                  counted.streams, cut, budget, variant.name);
+      ok = false;
+    }
     const double rps =
-        seconds > 0.0 ? static_cast<double>(merged.records.size()) / seconds
-                      : 0.0;
+        seconds > 0.0 ? static_cast<double>(cut) / seconds : 0.0;
     const double overhead = solo_seconds > 0.0 ? seconds / solo_seconds : 0.0;
-    last_commits = fleet.stats().commits_accepted;
-    table.add_row({variant.name, "4", std::to_string(merged.records.size()),
-                   util::TextTable::num(seconds, 2),
+    const double streams_per_kept =
+        cut > 0 ? static_cast<double>(counted.streams) /
+                      static_cast<double>(cut)
+                : 0.0;
+    table.add_row({variant.name, std::to_string(kFleetWorkers),
+                   std::to_string(cut), util::TextTable::num(seconds, 2),
                    util::TextTable::num(rps, 0),
                    util::TextTable::num(overhead, 2),
+                   util::TextTable::num(streams_per_kept, 2),
                    std::to_string(fleet.faults_injected())});
-    csv.row(variant.name, 4, variant.corrupt_pct, merged.records.size(),
-            seconds, rps, overhead, fleet.faults_injected(),
+    csv.row(variant.name, kFleetWorkers, variant.corrupt_pct, cut, seconds,
+            rps, overhead, streams_per_kept, fleet.faults_injected(),
             identical ? 1 : 0);
     json_rows.push_back(
         JsonObject()
             .add("variant", variant.name)
-            .add("workers", 4.0)
+            .add("workers", static_cast<double>(kFleetWorkers))
             .add("corrupt_pct", static_cast<double>(variant.corrupt_pct))
-            .add("records", static_cast<double>(merged.records.size()))
+            .add("records", static_cast<double>(cut))
             .add("seconds", seconds)
             .add("records_per_sec", rps)
             .add("overhead_vs_solo", overhead)
+            .add("streams_executed", static_cast<double>(counted.streams))
+            .add("streams_per_kept", streams_per_kept)
+            .add("streams_past_cut",
+                 static_cast<double>(fleet.stats().streams_past_cut))
             .add("faults_injected", static_cast<double>(fleet.faults_injected()))
             .add("commits_accepted",
                  static_cast<double>(fleet.stats().commits_accepted))
@@ -715,12 +757,9 @@ bool bench_campaign_federation(bool self_check_only,
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("(fleet rows run every leased slice on one thread, so "
-              "'overhead vs solo' bundles wire/lease/merge cost with the "
-              "fleet's speculative overshoot past the stopping point — "
-              "%zu accepted commits fed the last row's %zu kept records; "
-              "the records gate re-proves the federation determinism "
-              "contract under -O2%s)\n",
-              last_commits, reference.records.size(),
+              "'overhead vs solo' is wire/lease/merge cost times "
+              "'streams/kept'; the gates re-prove the federation "
+              "determinism contract and its bounded work under -O2%s)\n",
               ok ? "" : " — VIOLATED");
   return ok;
 }

@@ -213,10 +213,11 @@ int main(int argc, char** argv) {
     const auto& stats = coordinator.stats();
     std::printf(
         "fleet: %zu records, %zu commits (%zu duplicate, %zu rejected), "
-        "%zu corrupt frames, %zu leases re-issued\n",
+        "%zu corrupt frames, %zu leases re-issued, %zu admitted streams "
+        "past the cut\n",
         fleet.records.size(), stats.commits_accepted,
         stats.duplicate_commits, stats.commits_rejected,
-        stats.corrupt_frames, stats.leases_reissued);
+        stats.corrupt_frames, stats.leases_reissued, stats.streams_past_cut);
     std::printf("\n%s\n", fuzz::render_strategy_table({fleet}).c_str());
 
     if (fleet.gave_up) {

@@ -19,6 +19,7 @@ struct FleetCounters {
   obs::Counter* leases_granted;
   obs::Counter* leases_expired;
   obs::Counter* leases_reissued;
+  obs::Counter* streams_wasted;
   obs::Counter* workers_rejected;
   obs::Counter* heartbeats;
   obs::Gauge* connections;
@@ -34,6 +35,7 @@ const FleetCounters& fleet_counters() {
                          &reg.counter("fleet_leases_granted_total"),
                          &reg.counter("fleet_leases_expired_total"),
                          &reg.counter("fleet_leases_reissued_total"),
+                         &reg.counter("fleet_streams_wasted_total"),
                          &reg.counter("fleet_workers_rejected_total"),
                          &reg.counter("fleet_heartbeats_total"),
                          &reg.gauge("fleet_connections")};
@@ -64,6 +66,9 @@ void CoordinatorCore::restore(RestoredState state) {
     ledger_.commit(chunk.first_stream, std::move(chunk.records));
   }
   leases_.advance_lease_ids(state.max_lease_id);
+  // A cut decided here replays a prior incarnation's decision, which that
+  // incarnation counted; this one counts only what it admits from now on.
+  past_cut_counted_ = ledger_.finished() || state.drained;
   if (state.drained) drain();
 }
 
@@ -216,11 +221,23 @@ void CoordinatorCore::note_revoked(std::size_t revoked) {
   if (revoked != 0) fleet_counters().leases_reissued->add(revoked);
 }
 
+void CoordinatorCore::note_decided() {
+  if (past_cut_counted_ || !ledger_.finished()) return;
+  past_cut_counted_ = true;
+  note_wasted(leases_.done_streams_from(ledger_.cut()));
+}
+
+void CoordinatorCore::note_wasted(std::size_t streams) {
+  stats_.streams_past_cut += streams;
+  if (streams != 0) fleet_counters().streams_wasted->add(streams);
+}
+
 void CoordinatorCore::drain() {
   if (drained_) return;
   drained_ = true;
   ledger_.abandon();
   if (options_.hook != nullptr) options_.hook->on_drained();
+  note_decided();
   for (const auto& [conn, state] : conns_) {
     if (state == ConnState::kActive) {
       send(conn, make_shutdown(), /*close_after=*/true);
@@ -264,11 +281,12 @@ void CoordinatorCore::handle_lease_request(ConnId conn, std::uint64_t now) {
     return;
   }
   note_expired(leases_.expire(now));
-  const auto granted = leases_.grant(conn, now);
+  const auto granted = leases_.grant(conn, now, ledger_.useful_bound());
   if (!granted.has_value()) {
-    // Everything is leased or committed but the ledger hasn't decided yet
-    // (a gap is still executing elsewhere). The worker backs off and asks
-    // again; if the holder died, expiry will free the block by then.
+    // Everything below the provable cut is leased or committed but the
+    // ledger hasn't decided yet (a gap is still executing elsewhere). The
+    // worker backs off and asks again; if the holder died, expiry will
+    // free the block by then.
     send(conn, make_idle());
     return;
   }
@@ -276,11 +294,15 @@ void CoordinatorCore::handle_lease_request(ConnId conn, std::uint64_t now) {
   grant.lease_id = granted->lease_id;
   grant.first_stream = granted->slice.first;
   grant.stream_count = granted->slice.count;
-  if (options_.hook != nullptr) {
-    options_.hook->on_lease_granted(grant.lease_id, grant.first_stream,
-                                    grant.stream_count);
+  // A re-send (retried or duplicated request) was journaled and counted
+  // when the lease was minted.
+  if (!granted->resent) {
+    if (options_.hook != nullptr) {
+      options_.hook->on_lease_granted(grant.lease_id, grant.first_stream,
+                                      grant.stream_count);
+    }
+    fleet_counters().leases_granted->add(1);
   }
-  fleet_counters().leases_granted->add(1);
   send(conn, make_lease_grant(grant));
 }
 
@@ -291,7 +313,10 @@ void CoordinatorCore::handle_commit(ConnId conn, const Frame& frame,
   const CommitDisposition disposition = leases_.check_commit(
       commit.lease_id, commit.first_stream, commit.records.size());
   switch (disposition) {
-    case CommitDisposition::kAccept:
+    case CommitDisposition::kAccept: {
+      // Once the cut is decided, every admitted record lies past it.
+      const bool past_cut = ledger_.finished();
+      const std::size_t streams = commit.records.size();
       // Write-ahead: the journal sees the commit before the ledger merges
       // it. Skipped after drain — the abandon cut is at the current merge
       // frontier and journaling later commits would move it on replay.
@@ -302,10 +327,12 @@ void CoordinatorCore::handle_commit(ConnId conn, const Frame& frame,
       }
       ledger_.commit(static_cast<std::size_t>(commit.first_stream),
                      std::move(commit.records));
+      if (past_cut) note_wasted(streams);
       ++stats_.commits_accepted;
       fleet_counters().commits_admitted->add(1);
       send(conn, make_commit_ack(CommitAck{commit.lease_id}));
       break;
+    }
     case CommitDisposition::kDuplicate:
       ++stats_.duplicate_commits;
       fleet_counters().commits_duplicate->add(1);
@@ -319,6 +346,7 @@ void CoordinatorCore::handle_commit(ConnId conn, const Frame& frame,
       send(conn, make_reject(Reject{RejectReason::kBadCommit}));
       break;
   }
+  note_decided();
   if (ledger_.finished()) {
     send(conn, make_shutdown());
   }

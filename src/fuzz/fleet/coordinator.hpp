@@ -19,6 +19,14 @@
 /// and replays the sequential stopping rule. So the merged result depends
 /// only on the plan — never on which worker ran a slice, how often a slice
 /// was re-issued, or the order commits arrived.
+///
+/// Lease handout, in one paragraph: a connection holds at most one lease,
+/// and a repeat LeaseRequest from it (a retry, or a duplicated frame)
+/// re-sends that lease's grant without journaling or counting it again.
+/// No block starting at or past the ledger's provable cut
+/// (ProgressLedger::useful_bound) is leased — such a request is answered
+/// Idle — so the fleet stops fuzzing streams it can never keep. Admitted
+/// records past the cut are counted in CoordinatorStats::streams_past_cut.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,6 +53,10 @@ struct CoordinatorStats {
   std::size_t corrupt_frames = 0;     ///< wire-level rejects from transport
   std::size_t leases_reissued = 0;    ///< expiry + revocation re-queues
   std::size_t workers_rejected = 0;   ///< fingerprint/state rejects
+  /// Records of admitted commits the merged result does not keep
+  /// (fleet_streams_wasted_total): those admitted before the cut are added
+  /// once when this core decides it, each later commit as it is admitted.
+  std::size_t streams_past_cut = 0;
 };
 
 /// Last-known health of one worker, aggregated from its Heartbeat reports.
@@ -212,6 +224,9 @@ class CoordinatorCore {
   void handle_heartbeat(const Heartbeat& beat, std::uint64_t now);
   void note_expired(std::size_t expired);
   void note_revoked(std::size_t revoked);
+  /// Counts the admitted streams past the cut, once, when it is decided.
+  void note_decided();
+  void note_wasted(std::size_t streams);
 
   const shard::ShardPlanner* planner_;
   Options options_;
@@ -225,6 +240,7 @@ class CoordinatorCore {
   CoordinatorStats stats_;
   std::uint64_t next_worker_id_ = 1;
   bool drained_ = false;
+  bool past_cut_counted_ = false;
 };
 
 }  // namespace hdtest::fuzz::fleet

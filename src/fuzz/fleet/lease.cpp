@@ -1,5 +1,6 @@
 #include "fuzz/fleet/lease.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace hdtest::fuzz::fleet {
@@ -12,10 +13,16 @@ LeaseTable::LeaseTable(const shard::ShardPlanner& planner,
   for (std::size_t b = 0; b < states_.size(); ++b) pending_.insert(b);
 }
 
-std::optional<LeaseTable::Grant> LeaseTable::grant(ConnId conn,
-                                                   std::uint64_t now) {
+std::optional<LeaseTable::Grant> LeaseTable::grant(
+    ConnId conn, std::uint64_t now, std::size_t stream_bound) {
+  for (const auto& [id, lease] : leases_) {
+    if (lease.conn == conn) {
+      return Grant{id, planner_->slice(lease.block), /*resent=*/true};
+    }
+  }
   if (pending_.empty()) return std::nullopt;
   const std::size_t block = *pending_.begin();
+  if (planner_->slice(block).first >= stream_bound) return std::nullopt;
   pending_.erase(pending_.begin());
   states_[block] = BlockState::kLeased;
   const std::uint64_t id = next_lease_id_++;
@@ -98,6 +105,18 @@ CommitDisposition LeaseTable::check_commit(std::uint64_t lease_id,
     }
   }
   return CommitDisposition::kMismatch;
+}
+
+std::size_t LeaseTable::done_streams_from(std::size_t stream) const {
+  std::size_t streams = 0;
+  for (std::size_t b = 0; b < states_.size(); ++b) {
+    if (states_[b] != BlockState::kDone) continue;
+    const shard::StreamSlice slice = planner_->slice(b);
+    if (slice.end() > stream) {
+      streams += slice.end() - std::max(slice.first, stream);
+    }
+  }
+  return streams;
 }
 
 std::vector<std::size_t> LeaseTable::done_blocks() const {

@@ -6,7 +6,21 @@
 /// lease carries a deadline (in the coordinator's injected tick domain —
 /// never an ambient clock): when it passes, or when the owning connection
 /// drops, the block returns to pending and is re-issued to the next worker
-/// that asks. Because stream outcomes are pure functions of (config,
+/// that asks.
+///
+/// Handout is idempotent and cut-aware:
+///
+///   - a connection holds at most one lease. A repeat request from a
+///     connection that already holds one (a retried or duplicated
+///     LeaseRequest) re-sends that lease — same id, same slice, same
+///     deadline — instead of minting a second one. Minting would orphan
+///     the first: the worker runs one slice at a time, so the orphan would
+///     pin its block until the deadline while the merge frontier stalls;
+///   - no block starting at or past the caller's stream bound (the
+///     ledger's provable cut, ProgressLedger::useful_bound) is leased: no
+///     stream there can be kept.
+///
+/// Because stream outcomes are pure functions of (config,
 /// stream index), a block executed twice by different workers produces
 /// byte-identical records, which is what makes the commit dispositions
 /// below safe:
@@ -52,13 +66,17 @@ class LeaseTable {
   /// \param timeout_ticks lease lifetime in the injected tick unit.
   LeaseTable(const shard::ShardPlanner& planner, std::uint64_t timeout_ticks);
 
-  /// Leases the lowest outstanding block to \p conn. Returns the lease id
-  /// plus the block's slice, or nullopt when every block is leased or done.
+  /// Re-sends the live lease \p conn already holds (resent = true; nothing
+  /// changes), else leases the lowest pending block to \p conn. Returns
+  /// nullopt when that block starts at or past \p stream_bound, or when
+  /// every block is leased or done.
   struct Grant {
     std::uint64_t lease_id = 0;
     shard::StreamSlice slice;
+    bool resent = false;
   };
-  [[nodiscard]] std::optional<Grant> grant(ConnId conn, std::uint64_t now);
+  [[nodiscard]] std::optional<Grant> grant(ConnId conn, std::uint64_t now,
+                                           std::size_t stream_bound);
 
   /// Returns expired leases' blocks to pending. Result: re-issued count.
   std::size_t expire(std::uint64_t now);
@@ -78,6 +96,10 @@ class LeaseTable {
   [[nodiscard]] std::size_t outstanding() const noexcept {
     return planner_->num_blocks() - done_count_;
   }
+
+  /// Streams at or past \p stream in completed blocks: the admitted work a
+  /// cut at \p stream does not keep.
+  [[nodiscard]] std::size_t done_streams_from(std::size_t stream) const;
 
   // ---- recovery support (fuzz/fleet/durable/) ----------------------------
 

@@ -147,6 +147,7 @@ void TcpCoordinator::publish_metrics() const {
       util::LogLevel::kInfo, "fleet totals",
       {util::field("admitted", snap.counter_value("fleet_commits_admitted_total")),
        util::field("reissued", snap.counter_value("fleet_leases_reissued_total")),
+       util::field("wasted", snap.counter_value("fleet_streams_wasted_total")),
        util::field("heartbeats", snap.counter_value("fleet_heartbeats_total"))});
 }
 

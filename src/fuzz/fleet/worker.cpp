@@ -35,6 +35,7 @@ std::vector<CampaignRecord> FuzzSliceExecutor::execute(
 Frame WorkerCore::hello() {
   state_ = State::kAwaitHelloAck;
   current_lease_ = 0;  // whatever was in flight will expire server-side
+  executed_lease_ = 0;
   Frame frame = make_hello(Hello{fingerprint_});
   pending_ = frame;
   return frame;
@@ -83,6 +84,9 @@ std::vector<Frame> WorkerCore::on_frame(const Frame& frame) {
       }
       if (kind != MessageKind::kLeaseGrant) return {};
       const LeaseGrant grant = decode_lease_grant(frame.body);
+      // A late copy of the grant just executed and acknowledged (the
+      // coordinator re-sends a live lease to a repeated request).
+      if (grant.lease_id == executed_lease_) return {};
       shard::StreamSlice slice;
       slice.first = static_cast<std::size_t>(grant.first_stream);
       slice.count = static_cast<std::size_t>(grant.stream_count);
@@ -90,6 +94,7 @@ std::vector<Frame> WorkerCore::on_frame(const Frame& frame) {
       commit.lease_id = grant.lease_id;
       commit.first_stream = grant.first_stream;
       current_lease_ = grant.lease_id;
+      executed_lease_ = grant.lease_id;
       commit.records = executor_->execute(slice);
       ++slices_executed_;
       for (const CampaignRecord& record : commit.records) {
@@ -102,7 +107,8 @@ std::vector<Frame> WorkerCore::on_frame(const Frame& frame) {
     }
     case State::kAwaitCommitAck: {
       if (kind != MessageKind::kCommitAck) return {};
-      (void)decode_commit_ack(frame.body);
+      // An ack for an earlier commit (duplicated or delayed) is stale.
+      if (decode_commit_ack(frame.body).lease_id != current_lease_) return {};
       current_lease_ = 0;
       state_ = State::kAwaitGrant;
       return request(make_lease_request());

@@ -9,8 +9,12 @@
 /// request when the reply is overdue" (on_retry_tick, paced by the
 /// driver's BackoffPolicy). Every message can be lost, duplicated, or
 /// reordered without corrupting state: duplicates of a reply it already
-/// consumed are ignored, and a resent request is idempotent on the
-/// coordinator side (duplicate commits are acked without merging).
+/// consumed are ignored — a CommitAck must name the lease being committed,
+/// and a late copy of the grant it last executed is dropped — and a resent
+/// request is idempotent on the coordinator side. A connection holds at
+/// most one lease, so a repeated LeaseRequest gets the same grant back
+/// instead of a second block, and duplicate commits are acked without
+/// merging.
 ///
 /// Slice execution is injected (SliceExecutor) so protocol tests run with
 /// a synthetic executor while production uses FuzzSliceExecutor, which
@@ -18,7 +22,12 @@
 /// `s % num_inputs`, RNG from `stream_seed(master, s)`, outcome from
 /// Fuzzer::fuzz_one. Workers always execute their full leased slice —
 /// they hold no StopToken; the coordinator's ledger discards overshoot,
-/// which is exactly what the solo runtime does with speculative work.
+/// which is exactly what the solo runtime does with speculative work. The
+/// overshoot is bounded: no block is leased at or past the ledger's
+/// provable cut, so past the cut a worker runs at most the slices it was
+/// leased before the cut was known — measured at under one block per
+/// worker on fault-free schedules, and held under cut + block x
+/// (3 x workers + faults) by the fleet sim tests.
 
 #include <cstddef>
 #include <cstdint>
@@ -136,6 +145,7 @@ class WorkerCore {
   std::uint64_t worker_id_ = 0;
   std::size_t slices_executed_ = 0;
   std::uint64_t current_lease_ = 0;  ///< lease being executed/committed
+  std::uint64_t executed_lease_ = 0;  ///< newest lease executed (0 = none)
   std::uint64_t streams_done_ = 0;
   std::uint64_t encodes_done_ = 0;
   std::uint64_t adversarials_ = 0;

@@ -1,5 +1,6 @@
 #include "fuzz/shard/ledger.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace hdtest::fuzz::shard {
@@ -68,6 +69,23 @@ bool ProgressLedger::gave_up() const {
     throw std::logic_error("ProgressLedger::gave_up: not finished");
   }
   return gave_up_;
+}
+
+std::size_t ProgressLedger::useful_bound() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (decided_) return cut_;
+  if (target_ == 0) return limit_;
+  std::size_t known = successes_;
+  std::size_t next = scan_;  // slices may overlap; count each stream once
+  for (const auto& [first, slice] : pending_) {
+    for (std::size_t s = std::max(first, next); s < first + slice.size();
+         ++s) {
+      if (!slice[s - first].outcome.success) continue;
+      if (++known >= target_) return std::min(s + 1, limit_);
+    }
+    next = std::max(next, first + slice.size());
+  }
+  return limit_;
 }
 
 ProgressLedger::Snapshot ProgressLedger::snapshot() const {

@@ -58,6 +58,14 @@ class ProgressLedger {
   /// Whether the valve fired before the target was reached. \pre finished().
   [[nodiscard]] bool gave_up() const;
 
+  /// Exclusive bound on the streams the campaign can still keep: one past
+  /// the target-th known success, counting the merged prefix plus the
+  /// pending out-of-order slices. Successes still missing from the gaps
+  /// can only move the cut earlier, so no stream at or past the bound is
+  /// ever kept. cut() once decided; stream_limit in sweep mode or while
+  /// fewer than target successes are known.
+  [[nodiscard]] std::size_t useful_bound() const;
+
   /// Moves out the ordered records [0, cut). \pre finished().
   [[nodiscard]] std::vector<CampaignRecord> take_records();
 

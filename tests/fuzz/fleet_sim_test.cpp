@@ -7,12 +7,15 @@
 // further tests pin the individual fault dispositions (corruption retried
 // never merged, duplicates acked without merging, shape mismatches
 // rejected and re-leased) at the CoordinatorCore level, and a real-fuzzer
-// test closes the loop against run_campaign(workers=1) itself.
+// test closes the loop against run_campaign(workers=1) itself. A
+// bounded-work sweep over wide stream spaces pins the other half of the
+// contract: the fleet executes at most a few blocks per worker past the cut.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -80,6 +83,23 @@ class SyntheticExecutor final : public SliceExecutor {
   const shard::ShardPlanner* planner_;
 };
 
+/// Forwards to another executor and counts the streams it runs.
+class CountingExecutor final : public SliceExecutor {
+ public:
+  explicit CountingExecutor(SliceExecutor& inner) noexcept : inner_(&inner) {}
+
+  [[nodiscard]] std::vector<CampaignRecord> execute(
+      const shard::StreamSlice& slice) override {
+    streams += slice.count;
+    return inner_->execute(slice);
+  }
+
+  std::size_t streams = 0;
+
+ private:
+  SliceExecutor* inner_;
+};
+
 /// The reference a federated run must match: execute every block in plan
 /// order on one "worker" and replay the stopping rule through the same
 /// ledger the solo runtime uses.
@@ -142,6 +162,50 @@ TEST(FleetSim, TwoHundredFaultSchedulesMergeBitIdentical) {
   EXPECT_GT(corrupt, 0u);
   EXPECT_GT(duplicates, 0u);
   EXPECT_GT(reissued, 0u);
+}
+
+TEST(FleetSim, WorkPastTheCutIsBoundedPerWorker) {
+  // Wide stream spaces (limit 2000, far past any cut here), so a fleet
+  // that keeps fuzzing past the stopping point shows up as executed
+  // streams. Each worker may overshoot by a few blocks (the one it is
+  // running when the cut is decided, plus slices leased before the last
+  // gap filled), and each injected fault may cost one more block; the
+  // factor 3 is measured headroom over the worst schedule, not a guess.
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    util::Rng draw(0xb0c4ULL + seed);
+    const std::size_t workers = 1 + draw.uniform_u64(4);
+    const std::size_t block = 1 + draw.uniform_u64(5);
+    const std::size_t target = 2 + draw.uniform_u64(20);
+    const shard::ShardPlanner planner(shard::ShardPlanner::Mode::kTargetCount,
+                                      5 + seed % 7, 0x5eedULL + seed,
+                                      /*stream_limit=*/2000, block);
+    SyntheticExecutor synthetic(planner);
+    const auto expected = solo_reference(planner, target, synthetic);
+
+    FaultPlan plan;
+    plan.seed = seed * 7919 + 3;
+    if (seed % 2 == 1) {  // the matrix test's per-seed fault mix
+      plan.drop_pct = static_cast<unsigned>(seed % 4) * 8;
+      plan.duplicate_pct = static_cast<unsigned>(seed % 3) * 10;
+      plan.corrupt_pct = static_cast<unsigned>(seed % 5) * 5;
+      plan.truncate_pct = static_cast<unsigned>(seed % 2) * 7;
+      plan.delay_pct = 20;
+      plan.max_faults = 48;
+    }
+    CountingExecutor counted(synthetic);
+    SimFleet fleet(planner, target, workers, counted, plan);
+    const auto merged = fleet.run();
+    ASSERT_TRUE(identical_records(merged, expected)) << "seed " << seed;
+    const std::size_t cut = merged.records.size();
+    EXPECT_LE(counted.streams,
+              cut + block * (3 * workers + fleet.faults_injected()))
+        << "seed " << seed << ": cut " << cut << ", " << workers
+        << " workers, block " << block << ", "
+        << fleet.faults_injected() << " faults, "
+        << fleet.stats().duplicate_commits << " duplicate commits";
+    EXPECT_LE(fleet.stats().streams_past_cut, counted.streams - cut)
+        << "seed " << seed;
+  }
 }
 
 TEST(FleetSim, KillAndRestartSchedulesMergeBitIdentical) {
@@ -285,6 +349,36 @@ LeaseGrant handshake_and_lease(CoordinatorCore& core, ConnId conn,
   return decode_lease_grant(grant->body);
 }
 
+/// A record per stream with the given success pattern.
+std::vector<CampaignRecord> records_with(std::size_t first,
+                                         const std::vector<bool>& successes) {
+  std::vector<CampaignRecord> records(successes.size());
+  for (std::size_t k = 0; k < successes.size(); ++k) {
+    records[k].image_index = first + k;
+    records[k].outcome.success = successes[k];
+    if (successes[k]) records[k].outcome.adversarial = data::Image(4, 4);
+  }
+  return records;
+}
+
+/// Counts the lease grants the durable hook is told about.
+class CountingHook final : public CoordinatorHook {
+ public:
+  void on_lease_granted(std::uint64_t, std::uint64_t,
+                        std::uint64_t) override {
+    ++grants;
+  }
+  void on_commit_admitted(std::uint64_t, std::uint64_t,
+                          std::span<const CampaignRecord>) override {}
+  void on_drained() override {}
+
+  std::size_t grants = 0;
+};
+
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().snapshot().counter_value(name);
+}
+
 Commit commit_for(SyntheticExecutor& executor, const LeaseGrant& grant) {
   Commit commit;
   commit.lease_id = grant.lease_id;
@@ -374,6 +468,120 @@ TEST(FleetCoordinator, MismatchedCommitShapeIsRejectedAndReleased) {
   EXPECT_EQ(again.first_stream, grant.first_stream);
   core.on_frame(2, make_commit(commit_for(executor, again)), 15);
   EXPECT_EQ(core.stats().commits_accepted, 1u);
+}
+
+TEST(FleetCoordinator, RepeatedLeaseRequestResendsTheLiveLease) {
+  const shard::ShardPlanner planner(shard::ShardPlanner::Mode::kSweep, 8,
+                                    0x66ULL, 8, 2);
+  SyntheticExecutor executor(planner);
+  CountingHook hook;
+  CoordinatorCore core(planner, /*target=*/0,
+                       {/*lease_timeout=*/1000, "synthetic", &hook});
+  const auto granted_before = counter("fleet_leases_granted_total");
+
+  const auto first = handshake_and_lease(core, 1, 0);
+  // The request is retried (or the frame duplicated): the same lease comes
+  // back, and it is neither journaled nor counted a second time.
+  core.on_frame(1, make_lease_request(), 3);
+  const auto resent = take_reply(core, 1, MessageKind::kLeaseGrant);
+  ASSERT_TRUE(resent.has_value());
+  const LeaseGrant again = decode_lease_grant(resent->body);
+  EXPECT_EQ(again.lease_id, first.lease_id);
+  EXPECT_EQ(again.first_stream, first.first_stream);
+  EXPECT_EQ(again.stream_count, first.stream_count);
+  EXPECT_EQ(hook.grants, 1u);
+
+  // Another connection gets the next block.
+  const auto second = handshake_and_lease(core, 2, 4);
+  EXPECT_EQ(second.first_stream, first.first_stream + first.stream_count);
+  EXPECT_NE(second.lease_id, first.lease_id);
+  EXPECT_EQ(hook.grants, 2u);
+
+  // Once the commit is accepted, the next request mints a fresh lease.
+  core.on_frame(1, make_commit(commit_for(executor, first)), 5);
+  EXPECT_TRUE(take_reply(core, 1, MessageKind::kCommitAck).has_value());
+  core.on_frame(1, make_lease_request(), 6);
+  const auto next = take_reply(core, 1, MessageKind::kLeaseGrant);
+  ASSERT_TRUE(next.has_value());
+  const LeaseGrant fresh = decode_lease_grant(next->body);
+  EXPECT_NE(fresh.lease_id, first.lease_id);
+  EXPECT_NE(fresh.lease_id, second.lease_id);
+  EXPECT_EQ(fresh.first_stream, second.first_stream + second.stream_count);
+  EXPECT_EQ(hook.grants, 3u);
+  EXPECT_EQ(counter("fleet_leases_granted_total") - granted_before, 3u);
+}
+
+TEST(FleetCoordinator, NoBlockIsLeasedPastTheProvableCut) {
+  const shard::ShardPlanner planner(shard::ShardPlanner::Mode::kTargetCount,
+                                    6, 0x77ULL, 40, 2);
+  CoordinatorCore core(planner, /*target=*/1,
+                       {/*lease_timeout=*/1000, "synthetic"});
+  const auto wasted_before = counter("fleet_streams_wasted_total");
+
+  const auto low = handshake_and_lease(core, 1, 0);   // streams [0, 2)
+  const auto high = handshake_and_lease(core, 2, 0);  // streams [2, 4)
+  const auto late = handshake_and_lease(core, 3, 0);  // streams [4, 6)
+  ASSERT_EQ(late.first_stream, 4u);
+  // Stream 2 succeeds: the target's one success is known, so the cut is
+  // at most 3 and the next pending block, [6, 8), can never be kept.
+  core.on_frame(2, make_commit({high.lease_id, high.first_stream,
+                                records_with(2, {true, false})}),
+                5);
+  EXPECT_TRUE(take_reply(core, 2, MessageKind::kCommitAck).has_value());
+  ASSERT_FALSE(core.finished());
+  core.on_frame(2, make_lease_request(), 6);
+  EXPECT_TRUE(take_reply(core, 2, MessageKind::kIdle).has_value());
+  EXPECT_EQ(core.stats().streams_past_cut, 0u);  // not decided yet
+
+  // The gap below the bound still completes and decides the cut at 3.
+  core.on_frame(1, make_commit({low.lease_id, low.first_stream,
+                                records_with(0, {false, false})}),
+                7);
+  ASSERT_TRUE(core.finished());
+  // Stream 3 was admitted but is past the cut.
+  EXPECT_EQ(core.stats().streams_past_cut, 1u);
+  // A block leased before the cut was known still lands, all of it waste.
+  core.on_frame(3, make_commit({late.lease_id, late.first_stream,
+                                records_with(4, {true, true})}),
+                8);
+  EXPECT_TRUE(take_reply(core, 3, MessageKind::kCommitAck).has_value());
+  EXPECT_EQ(core.stats().streams_past_cut, 3u);
+  EXPECT_EQ(counter("fleet_streams_wasted_total") - wasted_before, 3u);
+  EXPECT_EQ(core.take_result().records.size(), 3u);
+}
+
+TEST(FleetWorker, IgnoresALateGrantCopyAndAnAckForAnotherLease) {
+  // The coordinator re-sends a live lease to a repeated request, so a copy
+  // of a grant can land after the worker executed and committed it; and a
+  // duplicated CommitAck can land while the next commit is outstanding.
+  const auto kind_of = [](const std::vector<Frame>& frames) {
+    EXPECT_EQ(frames.size(), 1u);
+    return frames.empty() ? MessageKind::kReject
+                          : static_cast<MessageKind>(frames.front().kind);
+  };
+  const shard::ShardPlanner planner(shard::ShardPlanner::Mode::kSweep, 8,
+                                    0x88ULL, 8, 2);
+  SyntheticExecutor synthetic(planner);
+  CountingExecutor counted(synthetic);
+  WorkerCore worker(/*fingerprint=*/1, counted);
+  (void)worker.hello();
+  EXPECT_EQ(kind_of(worker.on_frame(make_hello_ack({7}))),
+            MessageKind::kLeaseRequest);
+
+  const Frame grant = make_lease_grant({/*lease_id=*/3, 0, 2});
+  EXPECT_EQ(kind_of(worker.on_frame(grant)), MessageKind::kCommit);
+  EXPECT_EQ(counted.streams, 2u);
+  EXPECT_TRUE(worker.on_frame(make_commit_ack({2})).empty());
+  EXPECT_EQ(worker.state(), WorkerCore::State::kAwaitCommitAck);
+  EXPECT_EQ(kind_of(worker.on_frame(make_commit_ack({3}))),
+            MessageKind::kLeaseRequest);
+
+  EXPECT_TRUE(worker.on_frame(grant).empty());  // not executed again
+  EXPECT_EQ(counted.streams, 2u);
+  EXPECT_EQ(worker.state(), WorkerCore::State::kAwaitGrant);
+  EXPECT_EQ(kind_of(worker.on_frame(make_lease_grant({4, 2, 2}))),
+            MessageKind::kCommit);
+  EXPECT_EQ(counted.streams, 4u);
 }
 
 TEST(FleetCoordinator, WrongFingerprintIsFatallyRejected) {

@@ -277,6 +277,75 @@ TEST(ProgressLedger, DiscardsSpeculativeOvershoot) {
   EXPECT_EQ(ledger.take_records().size(), 2u);
 }
 
+TEST(ProgressLedger, UsefulBoundIsTheLimitInSweepModeAndTheCutOnceDecided) {
+  ProgressLedger sweep(/*target=*/0, /*stream_limit=*/12, nullptr);
+  EXPECT_EQ(sweep.useful_bound(), 12u);
+  sweep.commit(4, make_records(4, {true, true, true, true}));
+  EXPECT_EQ(sweep.useful_bound(), 12u);  // sweeps keep every stream
+
+  ProgressLedger targeted(/*target=*/2, /*stream_limit=*/100, nullptr);
+  EXPECT_EQ(targeted.useful_bound(), 100u);  // nothing known yet
+  targeted.commit(0, make_records(0, {false, true, false, true, true}));
+  ASSERT_TRUE(targeted.finished());
+  EXPECT_EQ(targeted.useful_bound(), targeted.cut());
+  EXPECT_EQ(targeted.useful_bound(), 4u);
+}
+
+TEST(ProgressLedger, UsefulBoundCountsPendingSuccessesPastAGap) {
+  ProgressLedger ledger(/*target=*/3, /*stream_limit=*/100, nullptr);
+  ledger.commit(0, make_records(0, {true, false}));  // merged: 1 success
+  EXPECT_EQ(ledger.useful_bound(), 100u);
+  // Streams 2..3 are a gap; one success past it is still one short.
+  ledger.commit(4, make_records(4, {false, true}));
+  EXPECT_FALSE(ledger.finished());
+  EXPECT_EQ(ledger.useful_bound(), 100u);
+  // The third known success (stream 9) bounds the cut, gap or not.
+  ledger.commit(8, make_records(8, {false, true, true}));
+  EXPECT_EQ(ledger.useful_bound(), 10u);
+  // An earlier pending success tightens it.
+  ledger.commit(6, make_records(6, {true, false}));
+  EXPECT_EQ(ledger.useful_bound(), 7u);
+  ledger.commit(2, make_records(2, {false, false}));
+  ASSERT_TRUE(ledger.finished());
+  EXPECT_EQ(ledger.cut(), 7u);
+}
+
+TEST(ProgressLedger, UsefulBoundNeverFallsBelowTheSequentialCut) {
+  // The bound is what the fleet coordinator refuses to lease past, so it
+  // must hold at every point of any commit order: no kept stream lies at
+  // or past it, and it only ever tightens.
+  util::Rng rng(4242);
+  for (int round = 0; round < 100; ++round) {
+    const std::size_t limit = 1 + rng.uniform_u64(60);
+    const std::size_t target = rng.uniform_u64(8);  // 0 = sweep
+    const std::size_t block = 1 + rng.uniform_u64(6);
+    std::vector<bool> outcomes(limit);
+    for (auto&& o : outcomes) o = rng.bernoulli(0.3);
+    const std::size_t expected_cut =
+        sequential_rule(outcomes, target, limit).first;
+
+    ProgressLedger ledger(target, limit, nullptr);
+    const std::size_t num_blocks = (limit + block - 1) / block;
+    std::vector<std::size_t> order(num_blocks);
+    for (std::size_t b = 0; b < num_blocks; ++b) order[b] = b;
+    rng.shuffle(order);
+    std::size_t previous = ledger.useful_bound();
+    for (const auto b : order) {
+      const std::size_t first = b * block;
+      const std::size_t count = std::min(block, limit - first);
+      ledger.commit(first, make_records(first,
+                                        {outcomes.begin() + first,
+                                         outcomes.begin() + first + count}));
+      const std::size_t bound = ledger.useful_bound();
+      ASSERT_GE(bound, expected_cut) << "round " << round;
+      ASSERT_LE(bound, previous) << "round " << round;
+      previous = bound;
+    }
+    ASSERT_TRUE(ledger.finished());
+    EXPECT_EQ(ledger.useful_bound(), expected_cut);
+  }
+}
+
 TEST(ProgressLedger, AccessorsThrowBeforeFinish) {
   ProgressLedger ledger(1, 10, nullptr);
   EXPECT_THROW((void)ledger.cut(), std::logic_error);

@@ -1,7 +1,7 @@
 /// \file accuracy_sweep.cpp
 /// Reproduces the **section V-A setup claim** — "training and testing the
 /// HDC model at an accuracy around 90%" — and ablates the two model design
-/// choices DESIGN.md calls out:
+/// choices that trade accuracy against robustness:
 ///
 ///  - hypervector dimensionality D (accuracy and robustness both rise with D);
 ///  - value-memory strategy (the paper's i.i.d. random memory vs correlated

@@ -14,7 +14,7 @@
 ///   HDTEST_WORKERS      campaign worker threads      (default 4)
 ///   HDTEST_SEED         master experiment seed       (default 42)
 ///
-/// EXPERIMENTS.md records the parameters used for the checked-in outputs.
+/// The committed BENCH_throughput.json stamps the parameters it ran with.
 
 #include <cstdio>
 #include <cstdlib>

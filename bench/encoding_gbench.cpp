@@ -1,6 +1,7 @@
 /// \file encoding_gbench.cpp
 /// google-benchmark microbenchmarks for image encoding — the ablation behind
-/// DESIGN.md decision 3 (incremental delta re-encoding).
+/// incremental delta re-encoding (IncrementalPixelEncoder), which the fuzzer
+/// uses because bundling is linear and most mutations touch few pixels.
 ///
 /// Expected shape: full encode costs O(W*H) pixel-HV accumulations; the
 /// incremental re-encoder costs O(changed pixels), so sparse fuzzing

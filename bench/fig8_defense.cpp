@@ -9,7 +9,7 @@
 /// Paper claim: "after retraining, the rate of successful attack drops more
 /// than 20%". Both retraining modes are reported (kAddOnly matches the
 /// paper's wording; kAddSubtract is the standard stronger HDC update) —
-/// this doubles as the ablation for DESIGN.md's retraining-rule decision.
+/// this doubles as the ablation of which retraining rule to use.
 
 #include <cstdio>
 

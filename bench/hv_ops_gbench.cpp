@@ -1,7 +1,8 @@
 /// \file hv_ops_gbench.cpp
 /// google-benchmark microbenchmarks for the hypervector kernels — the
-/// ablation behind DESIGN.md decision 1 (dense int8 reference backend vs
-/// bit-packed XOR/popcount backend).
+/// ablation behind keeping two backends: the dense int8 reference (the
+/// paper's arithmetic, which every packed path is tested against) vs the
+/// bit-packed XOR/popcount fast path.
 ///
 /// Expected shape: packed bind and packed dot are ~10-50x faster than dense
 /// at equal dimensionality (64 elements per word vs 1 per byte lane).

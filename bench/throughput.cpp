@@ -29,19 +29,15 @@
 /// cross-backend disagreement fails the binary.
 ///
 /// A model_load section measures serving cold-start: v3 stream load vs v3
-/// mmap (hdc::MappedModel, with and without the full checksum sweep). It
+/// mmap (hdc::MappedModel, with and without the full checksum sweep), for
+/// the stored layout and the remat layout (save_model with
+/// hdc::CodebookMode::kRemat: no codebook mirrors, regenerated on load). It
 /// doubles as the save -> map -> predict_batch round-trip gate: mapped
-/// predictions must be bit-exact with the in-memory model, and the
-/// instrument counters must show zero dense->packed rebuilds and zero
-/// codebook regenerations on the mapped path. Runs in --self-check too
+/// predictions from either file must be bit-exact with the in-memory model,
+/// the remat file must be smaller than the stored one, and the instrument
+/// counters must show zero dense->packed rebuilds and zero codebook
+/// regenerations on the stored file's mapped path. Runs in --self-check too
 /// (CI's Release bench smoke).
-///
-/// A rematerialize_crossover section compares stored codebook mirrors with
-/// on-the-fly rematerialization (hdc::CodebookMode::kRemat): full-encode
-/// cost, end-to-end campaign throughput, and v3 artifact bytes at
-/// production dims, gated on bit-identical campaign records across the two
-/// storage modes and on the remat file actually shrinking. Runs in
-/// --self-check too (smaller dim, same gates).
 ///
 /// A fifth section, campaign_scaling, measures the sharded campaign
 /// runtime end to end: adversarials/minute of the target-count campaign at
@@ -226,11 +222,6 @@ EncodeBaseline make_encode_baseline(std::size_t dim, std::size_t num_images,
   hdc::ModelConfig config;
   config.dim = dim;
   config.seed = 7;
-  // The dense reference loop below dereferences the dense codebook mirrors,
-  // so this baseline must stay on stored mirrors even when the process
-  // default (HDTEST_CODEBOOK) is remat; the rematerialize_crossover section
-  // owns the remat measurements.
-  config.codebook = hdc::CodebookMode::kStored;
   base.enc = std::make_unique<hdc::PixelEncoder>(config, 28, 28);
   base.images.reserve(num_images);
   for (std::size_t i = 0; i < num_images; ++i) {
@@ -318,9 +309,6 @@ MutantBaseline make_mutant_baseline(std::size_t dim, std::size_t num_mutants,
   hdc::ModelConfig config;
   config.dim = dim;
   config.seed = 11;
-  // Stored mirrors pinned: the PR 1 reference loop reads the dense
-  // codebooks directly (see make_encode_baseline).
-  config.codebook = hdc::CodebookMode::kStored;
   base.enc = std::make_unique<hdc::PixelEncoder>(config, 28, 28);
   base.am = random_am(dim, /*seed=*/55);
   util::Rng rng(dim + 1);
@@ -1027,26 +1015,34 @@ void bench_model_load(std::size_t dim, std::size_t reps,
   hdc::ModelConfig config;
   config.dim = dim;
   config.seed = 42;
-  // Stored mirrors pinned so the committed cold-start series (file bytes,
-  // load times) stays comparable PR-over-PR under any HDTEST_CODEBOOK
-  // default; remat cold-start lives in the rematerialize_crossover section.
-  config.codebook = hdc::CodebookMode::kStored;
   hdc::HdcClassifier model(config, 28, 28, 10);
   model.fit(pair.train);
+  const auto expected_labels = model.predict_batch(pair.test.images);
 
   const auto v3_path = benchutil::out_dir() + "/model_load_v3.hdtm";
   hdc::save_model(model, v3_path);
   const auto v3_bytes = std::filesystem::file_size(v3_path);
+  const auto remat_path = benchutil::out_dir() + "/model_load_v3_remat.hdtm";
+  hdc::save_model(model, remat_path, hdc::CodebookMode::kRemat);
+  const auto remat_bytes = std::filesystem::file_size(remat_path);
 
+  hdc::MapOptions no_verify;
+  no_verify.verify_checksum = false;
   const double v3_stream_ms = time_load_ms(
       reps, [&] { (void)hdc::load_model(v3_path); });
   const double v3_mmap_verified_ms = time_load_ms(reps, [&] {
     (void)hdc::MappedModel(v3_path);
   });
-  hdc::MapOptions no_verify;
-  no_verify.verify_checksum = false;
   const double v3_mmap_ms = time_load_ms(reps, [&] {
     (void)hdc::MappedModel(v3_path, no_verify);
+  });
+  const double remat_stream_ms = time_load_ms(
+      reps, [&] { (void)hdc::load_model(remat_path); });
+  const double remat_mmap_verified_ms = time_load_ms(reps, [&] {
+    (void)hdc::MappedModel(remat_path);
+  });
+  const double remat_mmap_ms = time_load_ms(reps, [&] {
+    (void)hdc::MappedModel(remat_path, no_verify);
   });
 
   // Round-trip gate: map once more with counters armed; construction and
@@ -1062,8 +1058,23 @@ void bench_model_load(std::size_t dim, std::size_t reps,
     std::printf("ERROR: mapped load performed rebuild/regeneration work\n");
     *ok = false;
   }
-  if (mapped_labels != model.predict_batch(pair.test.images)) {
+  if (mapped_labels != expected_labels) {
     std::printf("ERROR: mapped predictions diverged from the trained model\n");
+    *ok = false;
+  }
+  // The remat layout exists only to shrink the artifact, and must serve the
+  // same bits as the stored one.
+  if (remat_bytes >= v3_bytes) {
+    std::printf("ERROR: remat v3 file (%zu B) not smaller than stored "
+                "(%zu B) at dim=%zu\n",
+                static_cast<std::size_t>(remat_bytes),
+                static_cast<std::size_t>(v3_bytes), dim);
+    *ok = false;
+  }
+  if (hdc::MappedModel(remat_path).predict_batch(pair.test.images) !=
+      expected_labels) {
+    std::printf("ERROR: remat-file mapped predictions diverged from the "
+                "trained model\n");
     *ok = false;
   }
 
@@ -1075,6 +1086,10 @@ void bench_model_load(std::size_t dim, std::size_t reps,
               dim, v3_stream_ms, v3_mmap_verified_ms, v3_mmap_ms, speedup,
               static_cast<std::size_t>(v3_bytes) / 1024,
               counters_clean ? "clean" : "DIRTY");
+  std::printf("             remat file: stream %8.2f ms, mmap %8.3f ms "
+              "verified / %8.3f ms unverified (file %zu KiB)\n",
+              remat_stream_ms, remat_mmap_verified_ms, remat_mmap_ms,
+              static_cast<std::size_t>(remat_bytes) / 1024);
   json_rows.push_back(
       JsonObject()
           .add("dim", static_cast<double>(dim))
@@ -1083,159 +1098,11 @@ void bench_model_load(std::size_t dim, std::size_t reps,
           .add("v3_mmap_ms", v3_mmap_ms)
           .add("mmap_speedup_vs_v3_stream", speedup)
           .add("v3_file_bytes", static_cast<double>(v3_bytes))
+          .add("remat_v3_stream_ms", remat_stream_ms)
+          .add("remat_v3_mmap_verified_ms", remat_mmap_verified_ms)
+          .add("remat_v3_mmap_ms", remat_mmap_ms)
+          .add("remat_v3_file_bytes", static_cast<double>(remat_bytes))
           .str());
-}
-
-// ---------------------------------------------------------------------------
-// Rematerialization crossover: stored codebook mirrors vs on-the-fly row
-// regeneration (hdc::CodebookMode::kRemat). Remat trades mirror bytes — in
-// RAM and in the v3 artifact — for deterministic Rng work per encoded
-// pixel; this section measures both sides of the trade at production dims
-// and gates the contract that the trade is behavior-invisible: campaign
-// records must be bit-identical across storage modes, and the remat v3
-// file must actually be smaller (it drops the codebook mirror sections).
-
-/// Clears *ok on a record divergence or a non-shrinking remat file.
-bool bench_rematerialize_crossover(bool self_check_only,
-                                   std::vector<std::string>& json_rows) {
-  using namespace hdtest;
-  bool ok = true;
-  const auto pair =
-      data::make_digit_train_test(self_check_only ? 12 : 20, 6, 4242);
-  const auto encode_reps =
-      benchutil::env_u64("HDTEST_REMAT_ENCODE_REPS", self_check_only ? 1 : 6);
-  const auto max_images =
-      benchutil::env_u64("HDTEST_REMAT_IMAGES", self_check_only ? 4 : 20);
-  const std::vector<std::size_t> dims =
-      self_check_only ? std::vector<std::size_t>{1024}
-                      : std::vector<std::size_t>{4096, 8192, 16384};
-
-  util::TextTable table;
-  table.set_header({"Dim", "Stored enc us", "Remat enc us", "Remat/stored",
-                    "Stored adv/min", "Remat adv/min", "Stored KiB",
-                    "Remat KiB", "Records"});
-  table.set_alignments({util::Align::kRight, util::Align::kRight,
-                        util::Align::kRight, util::Align::kRight,
-                        util::Align::kRight, util::Align::kRight,
-                        util::Align::kRight, util::Align::kRight,
-                        util::Align::kLeft});
-  util::CsvWriter csv(benchutil::out_dir() + "/rematerialize_crossover.csv");
-  csv.header({"dim", "stored_encode_us_per_image", "remat_encode_us_per_image",
-              "remat_encode_ratio", "stored_adv_per_minute",
-              "remat_adv_per_minute", "stored_v3_bytes", "remat_v3_bytes",
-              "records_identical"});
-
-  for (const std::size_t dim : dims) {
-    hdc::ModelConfig config;
-    config.dim = dim;
-    config.seed = 4242;
-    config.codebook = hdc::CodebookMode::kStored;
-    hdc::HdcClassifier stored(config, 28, 28, 10);
-    stored.fit(pair.train);
-    config.codebook = hdc::CodebookMode::kRemat;
-    hdc::HdcClassifier remat(config, 28, 28, 10);
-    remat.fit(pair.train);
-
-    // Full-image packed encode, the path where remat pays its Rng tax.
-    const auto encode_us = [&](const hdc::HdcClassifier& model) {
-      const util::Stopwatch watch;
-      for (std::size_t r = 0; r < encode_reps; ++r) {
-        for (const auto& image : pair.test.images) {
-          (void)model.encoder().encode_packed(image);
-        }
-      }
-      return watch.seconds() * 1e6 /
-             static_cast<double>(pair.test.images.size() * encode_reps);
-    };
-    const double stored_encode_us = encode_us(stored);
-    const double remat_encode_us = encode_us(remat);
-    const double encode_ratio =
-        stored_encode_us > 0.0 ? remat_encode_us / stored_encode_us : 0.0;
-
-    // End-to-end campaign throughput + the bit-identity gate. The
-    // incremental delta re-encoder dominates the steady state, so the
-    // campaign-level gap is far smaller than the full-encode ratio — that
-    // is the crossover this section exists to show.
-    const fuzz::GaussNoiseMutation strategy;
-    fuzz::FuzzConfig fuzz_config;
-    fuzz_config.budget = fuzz::default_budget_for_strategy("gauss");
-    const fuzz::Fuzzer stored_fuzzer(stored, strategy, fuzz_config);
-    const fuzz::Fuzzer remat_fuzzer(remat, strategy, fuzz_config);
-    fuzz::CampaignConfig campaign;
-    campaign.fuzz = fuzz_config;
-    campaign.max_images = max_images;
-    campaign.workers = 2;
-    campaign.seed = 4242;
-    const auto stored_result =
-        fuzz::run_campaign(stored_fuzzer, pair.test, campaign);
-    const auto remat_result =
-        fuzz::run_campaign(remat_fuzzer, pair.test, campaign);
-    const bool identical = records_match(
-        stored_result, remat_result,
-        "remat campaign records diverged from stored at dim=" +
-            std::to_string(dim));
-    if (!identical) ok = false;
-
-    // v3 artifact size: the mirror sections are the bulk of a stored file,
-    // so the remat variant must shrink, not just not-grow.
-    const auto stored_path =
-        benchutil::out_dir() + "/remat_crossover_stored.hdtm";
-    const auto remat_path =
-        benchutil::out_dir() + "/remat_crossover_remat.hdtm";
-    hdc::save_model(stored, stored_path);
-    hdc::save_model(remat, remat_path);
-    const auto stored_bytes = std::filesystem::file_size(stored_path);
-    const auto remat_bytes = std::filesystem::file_size(remat_path);
-    if (remat_bytes >= stored_bytes) {
-      std::printf("ERROR: remat v3 file (%zu B) not smaller than stored "
-                  "(%zu B) at dim=%zu\n",
-                  static_cast<std::size_t>(remat_bytes),
-                  static_cast<std::size_t>(stored_bytes), dim);
-      ok = false;
-    }
-
-    table.add_row({std::to_string(dim),
-                   util::TextTable::num(stored_encode_us, 1),
-                   util::TextTable::num(remat_encode_us, 1),
-                   util::TextTable::num(encode_ratio, 2),
-                   util::TextTable::num(stored_result.adversarials_per_minute(),
-                                        0),
-                   util::TextTable::num(remat_result.adversarials_per_minute(),
-                                        0),
-                   std::to_string(static_cast<std::size_t>(stored_bytes) /
-                                  1024),
-                   std::to_string(static_cast<std::size_t>(remat_bytes) /
-                                  1024),
-                   identical ? "identical" : "DIVERGED"});
-    csv.row(dim, stored_encode_us, remat_encode_us, encode_ratio,
-            stored_result.adversarials_per_minute(),
-            remat_result.adversarials_per_minute(),
-            static_cast<std::size_t>(stored_bytes),
-            static_cast<std::size_t>(remat_bytes),
-            identical ? 1 : 0);
-    json_rows.push_back(
-        JsonObject()
-            .add("dim", static_cast<double>(dim))
-            .add("stored_encode_us_per_image", stored_encode_us)
-            .add("remat_encode_us_per_image", remat_encode_us)
-            .add("remat_encode_ratio", encode_ratio)
-            .add("stored_adv_per_minute",
-                 stored_result.adversarials_per_minute())
-            .add("remat_adv_per_minute",
-                 remat_result.adversarials_per_minute())
-            .add("stored_v3_bytes", static_cast<double>(stored_bytes))
-            .add("remat_v3_bytes", static_cast<double>(remat_bytes))
-            .add("records_identical", identical ? 1.0 : 0.0)
-            .str());
-  }
-
-  std::printf("%s\n", table.to_string().c_str());
-  std::printf("(remat regenerates codebook rows from the model seed per "
-              "encode instead of reading stored mirrors; the campaign "
-              "records gate re-proves the storage mode is behavior-"
-              "invisible%s)\n",
-              ok ? "" : " — VIOLATED");
-  return ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -1652,9 +1519,9 @@ int main(int argc, char** argv) {
   // Serving cold-start + the save -> map -> predict_batch round-trip gate.
   const auto load_reps =
       benchutil::env_u64("HDTEST_LOAD_REPS", self_check_only ? 1 : 10);
-  std::printf("\nmodel cold-start: v3 stream load vs v3 mmap "
-              "(%zu reps; gate: mapped predictions bit-exact, zero "
-              "rebuilds/regenerations)\n",
+  std::printf("\nmodel cold-start: v3 stream load vs v3 mmap, stored and "
+              "remat files (%zu reps; gate: mapped predictions bit-exact, "
+              "remat file smaller, zero rebuilds/regenerations)\n",
               load_reps);
   std::vector<std::string> model_load_rows;
   if (self_check_only) {
@@ -1665,17 +1532,6 @@ int main(int argc, char** argv) {
     }
   }
   doc.add_raw("model_load", benchutil::json_array(model_load_rows));
-
-  // Stored mirrors vs rematerializing codebooks: encode cost, campaign
-  // throughput, artifact bytes — plus the records-identical gate.
-  std::printf("\nrematerialize crossover: stored mirrors vs on-the-fly "
-              "codebook regeneration (gate: campaign records bit-identical, "
-              "remat v3 file smaller)\n");
-  std::vector<std::string> remat_rows;
-  if (!bench_rematerialize_crossover(self_check_only, remat_rows)) {
-    agreement = false;
-  }
-  doc.add_raw("rematerialize_crossover", benchutil::json_array(remat_rows));
 
   // The tentpole acceptance gate: the blocked sweep on the best backend vs
   // the PR 1 steady state (per-query packed predict on portable SWAR).

@@ -10,7 +10,7 @@
 /// share the visual confusability structure the paper's per-class analysis
 /// relies on (3/8/9 share arcs, 1/7 share a diagonal), and every consumer
 /// reads the result through data::Dataset, so real MNIST files can be swapped
-/// in via idx.hpp without touching any other code. See DESIGN.md section 1.
+/// in via idx.hpp without touching any other code.
 
 #include <cstdint>
 #include <vector>

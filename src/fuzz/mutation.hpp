@@ -14,11 +14,11 @@
 /// so one instance can serve many threads. Strategies may be used jointly
 /// via CompositeMutation (paper: "independently or jointly").
 ///
-/// Parameter defaults are calibrated (see DESIGN.md decision 7 and
-/// EXPERIMENTS.md) to reproduce the *shape* of the paper's Table II: rand
-/// has the smallest distance but the most iterations, gauss converges in
-/// 1-2 iterations at moderate distance, row/col mutations produce large
-/// distances, and shift's distances are large-but-not-meaningful.
+/// Parameter defaults are calibrated to reproduce the *shape* of the
+/// paper's Table II: rand has the smallest distance but the most
+/// iterations, gauss converges in 1-2 iterations at moderate distance,
+/// row/col mutations produce large distances, and shift's distances are
+/// large-but-not-meaningful.
 
 #include <memory>
 #include <string>

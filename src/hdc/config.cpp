@@ -1,8 +1,5 @@
 #include "hdc/config.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 namespace hdtest::hdc {
@@ -30,41 +27,6 @@ std::string to_string(Similarity metric) {
     case Similarity::kHamming: return "hamming";
   }
   return "unknown";
-}
-
-CodebookMode parse_codebook_mode(const std::string& name) {
-  if (name == "stored") return CodebookMode::kStored;
-  if (name == "remat") return CodebookMode::kRemat;
-  throw std::invalid_argument("parse_codebook_mode: unknown mode '" + name +
-                              "' (want stored|remat)");
-}
-
-std::string to_string(CodebookMode mode) {
-  switch (mode) {
-    case CodebookMode::kStored: return "stored";
-    case CodebookMode::kRemat: return "remat";
-  }
-  return "unknown";
-}
-
-CodebookMode default_codebook_mode() noexcept {
-  // Read once: flipping the environment mid-process must not split one run
-  // across modes (results are identical, but counters and file layouts are
-  // mode-dependent and tests pin both).
-  static const CodebookMode mode = [] {
-    const char* forced = std::getenv("HDTEST_CODEBOOK");
-    if (forced == nullptr || *forced == '\0' ||
-        std::strcmp(forced, "stored") == 0) {
-      return CodebookMode::kStored;
-    }
-    if (std::strcmp(forced, "remat") == 0) return CodebookMode::kRemat;
-    std::fprintf(stderr,
-                 "hdtest: HDTEST_CODEBOOK=%s is unknown (want stored|remat); "
-                 "using stored\n",
-                 forced);
-    return CodebookMode::kStored;
-  }();
-  return mode;
 }
 
 void ModelConfig::validate() const {

@@ -28,43 +28,13 @@ enum class ValueStrategy {
 /// and is provided for the packed fast path.
 enum class Similarity { kCosine, kHamming };
 
-/// How the packed codebook mirrors are held at run time. Every codebook row
-/// is a pure function of the master seed, so the mirrors can either be
-/// materialized once and stored (the cache-friendly default) or regenerated
-/// on the fly, row by row, in registers during encode — Schmuck et al.'s
-/// rematerialization trick applied to the item memories. Both modes are
-/// bit-identical; remat trades encode arithmetic for an O(count * D/8)
-/// smaller resident set and mirror-free v3 model files.
-enum class CodebookMode {
-  /// Packed position/value mirrors built once and kept resident; v3 files
-  /// store them verbatim (the pre-existing layout).
-  kStored,
-  /// Position rows (and value rows under ValueStrategy::kRandom) regenerate
-  /// per use from the seed; nothing is stored in RAM or in v3 files.
-  /// Correlated value strategies (kLevel/kThermometer) build rows
-  /// sequentially and are not per-row pure functions, so their value mirror
-  /// stays stored even in this mode.
-  kRemat,
-};
-
 /// Parses "random" / "level" / "thermometer" (exact match).
 /// \throws std::invalid_argument otherwise.
 [[nodiscard]] ValueStrategy parse_value_strategy(const std::string& name);
 
-/// Parses "stored" / "remat" (exact match).
-/// \throws std::invalid_argument otherwise.
-[[nodiscard]] CodebookMode parse_codebook_mode(const std::string& name);
-
 /// Human-readable name of a strategy.
 [[nodiscard]] std::string to_string(ValueStrategy strategy);
 [[nodiscard]] std::string to_string(Similarity metric);
-[[nodiscard]] std::string to_string(CodebookMode mode);
-
-/// Process-wide default codebook mode: HDTEST_CODEBOOK ("stored" / "remat";
-/// unknown values warn once and fall back to stored), read once and cached.
-/// Fresh ModelConfigs pick this up, which is how the CI matrix leg forces
-/// the whole tier-1 suite through the remat path without touching configs.
-[[nodiscard]] CodebookMode default_codebook_mode() noexcept;
 
 /// Hyper-parameters of one HDC image-classification model (paper section III).
 struct ModelConfig {
@@ -78,8 +48,8 @@ struct ModelConfig {
   std::uint64_t seed = 0x1d7e57ULL;  // spells "hdtest"
 
   /// Number of distinct scalar levels in the value memory (256 gray levels).
-  /// The paper says "255 HVs" for pixel range 0..255, which cannot index 256
-  /// distinct values; we use 256 (deviation documented in DESIGN.md).
+  /// The paper says "255 HVs" for pixel range 0..255, one short of the 256
+  /// distinct 8-bit gray levels, so we use 256.
   std::size_t value_levels = 256;
 
   /// Value item-memory construction scheme.
@@ -87,11 +57,6 @@ struct ModelConfig {
 
   /// Query similarity metric.
   Similarity similarity = Similarity::kCosine;
-
-  /// Codebook mirror residency (see CodebookMode). Defaults from the
-  /// HDTEST_CODEBOOK environment override so existing call sites are
-  /// unaffected; results are bit-identical either way.
-  CodebookMode codebook = default_codebook_mode();
 
   /// \throws std::invalid_argument on invalid combinations.
   void validate() const;

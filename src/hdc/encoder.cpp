@@ -18,15 +18,6 @@ constexpr std::uint64_t kValueTag = 0x02;
 constexpr std::uint64_t kTieBreakTag = 0x03;
 constexpr std::uint64_t kSymbolTag = 0x04;
 
-/// True when \p config keeps no value-codebook mirror: rematerialization
-/// needs rows that are pure functions of their per-row seed, which only the
-/// i.i.d. random strategy provides (correlated strategies build rows
-/// sequentially, so their dense construction stays, even in remat mode).
-bool value_rows_remat(const ModelConfig& config) noexcept {
-  return config.codebook == CodebookMode::kRemat &&
-         config.value_strategy == ValueStrategy::kRandom;
-}
-
 }  // namespace
 
 std::uint64_t position_codebook_seed(const ModelConfig& config) noexcept {
@@ -46,53 +37,20 @@ PixelEncoder::PixelEncoder(const ModelConfig& config, std::size_t width,
     : config_((config.validate(), config)),  // validate before building memories
       width_(width),
       height_(height),
-      position_memory_([&]() -> std::optional<ItemMemory> {
-        if (config.codebook == CodebookMode::kRemat) return std::nullopt;
-        return ItemMemory(width * height, config.dim,
-                          position_codebook_seed(config),
-                          ValueStrategy::kRandom);
-      }()),
-      value_memory_([&]() -> std::optional<ItemMemory> {
-        if (value_rows_remat(config)) return std::nullopt;
-        return ItemMemory(config.value_levels, config.dim,
-                          value_codebook_seed(config), config.value_strategy);
-      }()),
+      position_memory_(width * height, config.dim,
+                       position_codebook_seed(config), ValueStrategy::kRandom),
+      value_memory_(config.value_levels, config.dim,
+                    value_codebook_seed(config), config.value_strategy),
       tie_break_([&] {
         util::Rng rng(tie_break_seed(config));
         return Hypervector::random(config.dim, rng);
       }()),
-      packed_positions_(position_memory_
-                            ? PackedItemMemory(*position_memory_)
-                            : PackedItemMemory::remat(
-                                  config.dim, width * height,
-                                  position_codebook_seed(config))),
-      packed_values_(value_rows_remat(config)
-                         ? PackedItemMemory::remat(config.dim,
-                                                   config.value_levels,
-                                                   value_codebook_seed(config))
-                         : PackedItemMemory(*value_memory_)),
+      packed_positions_(position_memory_),
+      packed_values_(value_memory_),
       tie_break_packed_(PackedHv::from_dense(tie_break_)) {
   if (width == 0 || height == 0) {
     throw std::invalid_argument("PixelEncoder: image dimensions must be non-zero");
   }
-}
-
-const ItemMemory& PixelEncoder::position_memory() const {
-  if (!position_memory_) {
-    throw std::logic_error(
-        "PixelEncoder::position_memory: no dense codebook in remat mode; "
-        "rows regenerate on demand (pixel_hv) or pin codebook = kStored");
-  }
-  return *position_memory_;
-}
-
-const ItemMemory& PixelEncoder::value_memory() const {
-  if (!value_memory_) {
-    throw std::logic_error(
-        "PixelEncoder::value_memory: no dense codebook in remat mode; "
-        "rows regenerate on demand (pixel_hv) or pin codebook = kStored");
-  }
-  return *value_memory_;
 }
 
 void PixelEncoder::check_shape(const data::Image& image) const {
@@ -125,14 +83,9 @@ HDTEST_HOT_PATH PackedHv encode_pixels_packed(const PackedItemMemory& positions,
         "encode_pixels_packed: pixel count does not match position codebook");
   }
   util::BitSliceAccumulator bits(dim);
-  // Row scratch is only non-empty for rematerializing codebooks; stored and
-  // view codebooks serve rows in place and never touch it.
-  std::vector<std::uint64_t> pos_scratch(positions.row_scratch_words());
-  std::vector<std::uint64_t> val_scratch(values.row_scratch_words());
   for (std::size_t p = 0; p < pixels.size(); ++p) {
-    bits.add_xor(positions.row(p, pos_scratch),
-                 values.row(value_level_index(value_levels, pixels[p]),
-                            val_scratch));
+    bits.add_xor(positions[p],
+                 values[value_level_index(value_levels, pixels[p])]);
   }
   Accumulator acc(dim);
   acc.add_bitsliced(bits);
@@ -141,27 +94,8 @@ HDTEST_HOT_PATH PackedHv encode_pixels_packed(const PackedItemMemory& positions,
 
 Hypervector PixelEncoder::pixel_hv(std::size_t position,
                                    std::uint8_t value) const {
-  const std::size_t value_idx = value_index(value);
-  if (position_memory_ && value_memory_) {
-    return bind(position_memory_->at(position), value_memory_->at(value_idx));
-  }
-  // Remat mode: regrow the dense rows from the same derived per-row streams
-  // the stored codebooks are built from — bit-identical by construction.
-  const auto remat_row = [this](const PackedItemMemory& packed,
-                                std::size_t index) {
-    if (index >= packed.count()) {
-      throw std::out_of_range("PixelEncoder::pixel_hv: index out of range");
-    }
-    util::Rng rng(util::derive_seed(packed.seed(), index));
-    return Hypervector::random(config_.dim, rng);
-  };
-  const Hypervector pos_hv = position_memory_
-                                 ? position_memory_->at(position)
-                                 : remat_row(packed_positions_, position);
-  const Hypervector val_hv = value_memory_
-                                 ? value_memory_->at(value_idx)
-                                 : remat_row(packed_values_, value_idx);
-  return bind(pos_hv, val_hv);
+  return bind(position_memory_.at(position),
+              value_memory_.at(value_index(value)));
 }
 
 void PixelEncoder::encode_into(const data::Image& image,
@@ -172,16 +106,11 @@ void PixelEncoder::encode_into(const data::Image& image,
   }
   // Bit-sliced bundling: each pixel HV is one XOR of packed codebook rows,
   // counted carry-save and drained into the int32 lanes once. Exact integer
-  // arithmetic — same sums as per-element add_bound in any order. Rows come
-  // through row(): in place for stored mirrors, regenerated into the local
-  // scratch for rematerializing codebooks, identical bits either way.
+  // arithmetic — same sums as per-element add_bound in any order.
   util::BitSliceAccumulator bits(config_.dim);
   const auto pixels = image.pixels();
-  std::vector<std::uint64_t> pos_scratch(packed_positions_.row_scratch_words());
-  std::vector<std::uint64_t> val_scratch(packed_values_.row_scratch_words());
   for (std::size_t p = 0; p < pixels.size(); ++p) {
-    bits.add_xor(packed_positions_.row(p, pos_scratch),
-                 packed_values_.row(value_index(pixels[p]), val_scratch));
+    bits.add_xor(packed_positions_[p], packed_values_[value_index(pixels[p])]);
   }
   acc.add_bitsliced(bits);
 }
@@ -218,11 +147,7 @@ std::vector<PackedHv> PixelEncoder::encode_batch_packed(
 }
 
 IncrementalPixelEncoder::IncrementalPixelEncoder(const PixelEncoder& encoder)
-    : encoder_(&encoder),
-      base_acc_(encoder.dim()),
-      pos_row_scratch_(encoder.packed_position_memory().row_scratch_words()),
-      old_row_scratch_(encoder.packed_value_memory().row_scratch_words()),
-      new_row_scratch_(encoder.packed_value_memory().row_scratch_words()) {}
+    : encoder_(&encoder), base_acc_(encoder.dim()) {}
 
 void IncrementalPixelEncoder::rebase(const data::Image& image) {
   base_acc_.clear();
@@ -305,15 +230,10 @@ void IncrementalPixelEncoder::apply_patches_to_scratch() const {
   const auto& positions = encoder_->packed_position_memory();
   const auto& values = encoder_->packed_value_memory();
   for (const auto& patch : patches_) {
-    // The position row stays valid across both adds: the value rows use
-    // their own scratch buffers, so nothing overwrites it in between.
-    const auto pos_row = positions.row(patch.position, pos_row_scratch_);
-    scratch_.add_bound_packed(pos_row,
-                              values.row(patch.old_index, old_row_scratch_),
-                              -1);
-    scratch_.add_bound_packed(pos_row,
-                              values.row(patch.new_index, new_row_scratch_),
-                              +1);
+    scratch_.add_bound_packed(positions[patch.position],
+                              values[patch.old_index], -1);
+    scratch_.add_bound_packed(positions[patch.position],
+                              values[patch.new_index], +1);
   }
 }
 
@@ -355,7 +275,7 @@ HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
   // out of one bit-parallel MSB-down comparison per word
   // (simd::Kernels::slice_bipolarize) — never a dense intermediate, never
   // an O(D) int32 pass. Bit-exact with from_dense(encode_mutant(mutant))
-  // under every kernel backend and codebook storage mode.
+  // under every kernel backend.
   const auto& kernels = util::simd::kernels();
   const std::size_t n = encoder_->dim();
   const std::size_t words = util::words_for_bits(n);
@@ -367,11 +287,10 @@ HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
     const auto& positions = encoder_->packed_position_memory();
     const auto& values = encoder_->packed_value_memory();
     for (const auto& patch : patches_) {
-      kernels.csa_patch(
-          slices, words, levels,
-          positions.row(patch.position, pos_row_scratch_).data(),
-          values.row(patch.old_index, old_row_scratch_).data(),
-          values.row(patch.new_index, new_row_scratch_).data());
+      kernels.csa_patch(slices, words, levels,
+                        positions[patch.position].data(),
+                        values[patch.old_index].data(),
+                        values[patch.new_index].data());
     }
     src = slices;
   }

@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -51,11 +50,10 @@ namespace hdtest::hdc {
 
 /// Derived sub-seeds of the three random structures PixelEncoder builds from
 /// ModelConfig::seed (position codebook, value codebook, tie-break HV). The
-/// tags behind them are fixed wire-level constants: a rematerializing
-/// codebook — in RAM or loaded from a mirror-less v3 model file — regrows
-/// row i of each structure from util::derive_seed(<structure seed>, i), so
-/// these functions are the single source of truth for "which stream was
-/// this model built from".
+/// tags behind them are fixed wire-level constants: loading a mirror-less
+/// (remat) v3 model file regrows row i of each codebook from
+/// util::derive_seed(<structure seed>, i), so these functions are the single
+/// source of truth for "which stream was this model built from".
 [[nodiscard]] std::uint64_t position_codebook_seed(
     const ModelConfig& config) noexcept;
 [[nodiscard]] std::uint64_t value_codebook_seed(
@@ -66,9 +64,9 @@ namespace hdtest::hdc {
 /// position^value for every pixel (carry-save counting) and apply the fused
 /// Eq. 1 + pack. This is the kernel behind PixelEncoder::encode_packed, and
 /// hdc::MappedModel calls it directly with codebook *views* over a mapped
-/// model file (or rematerializing codebooks when the file carries no
-/// mirrors) — the whole encode touches no dense Hypervector and no
-/// PackedHv::from_dense, regardless of codebook storage mode.
+/// model file (or codebooks regenerated at map time when the file carries
+/// no mirrors) — the whole encode touches no dense Hypervector and no
+/// PackedHv::from_dense.
 /// \throws std::invalid_argument when the image's pixel count mismatches
 /// \p positions or the codebook shapes disagree.
 HDTEST_HOT_PATH [[nodiscard]] PackedHv encode_pixels_packed(
@@ -130,13 +128,13 @@ class PixelEncoder {
     return tie_break_packed_;
   }
 
-  /// Dense position/value codebooks. Materialized in CodebookMode::kStored
-  /// (and, for the value memory, whenever the value strategy is correlated);
-  /// a rematerializing codebook keeps no dense mirror, so these throw
-  /// std::logic_error there — use pixel_hv(), which regenerates rows on
-  /// demand, or pin codebook = kStored when dense inspection is the point.
-  [[nodiscard]] const ItemMemory& position_memory() const;
-  [[nodiscard]] const ItemMemory& value_memory() const;
+  /// Dense position/value codebooks.
+  [[nodiscard]] const ItemMemory& position_memory() const noexcept {
+    return position_memory_;
+  }
+  [[nodiscard]] const ItemMemory& value_memory() const noexcept {
+    return value_memory_;
+  }
 
   /// Packed codebooks backing the bit-sliced kernels (built once here).
   [[nodiscard]] const PackedItemMemory& packed_position_memory() const noexcept {
@@ -156,12 +154,8 @@ class PixelEncoder {
   ModelConfig config_;
   std::size_t width_;
   std::size_t height_;
-  /// Dense codebooks: engaged in stored mode (both) and for correlated
-  /// value strategies (value only); disengaged rows regenerate from the
-  /// seed on demand. Optional rather than lazy so the encoder keeps plain
-  /// copy/move value semantics.
-  std::optional<ItemMemory> position_memory_;
-  std::optional<ItemMemory> value_memory_;
+  ItemMemory position_memory_;
+  ItemMemory value_memory_;
   Hypervector tie_break_;
   PackedItemMemory packed_positions_;
   PackedItemMemory packed_values_;
@@ -249,12 +243,6 @@ class IncrementalPixelEncoder {
   /// call — mirrors the pre-existing last_delta_count_ contract).
   mutable Accumulator scratch_;
   mutable std::vector<std::uint64_t> slice_scratch_;
-  /// Row scratch for rematerializing codebooks (sized once in the ctor via
-  /// PackedItemMemory::row_scratch_words(); empty — and never written — for
-  /// stored mirrors, whose rows are served in place).
-  mutable std::vector<std::uint64_t> pos_row_scratch_;
-  mutable std::vector<std::uint64_t> old_row_scratch_;
-  mutable std::vector<std::uint64_t> new_row_scratch_;
   mutable std::vector<Patch> patches_;
   mutable std::size_t last_delta_count_ = 0;
 };

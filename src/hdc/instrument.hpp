@@ -42,11 +42,6 @@ struct EncodeCounters {
   /// stores the packed mirrors verbatim, so the mapped path performs zero
   /// of these too (same test); PixelEncoder construction performs two.
   std::atomic<std::uint64_t> packed_codebook_builds{0};
-  /// On-the-fly codebook row regenerations (PackedItemMemory remat mode:
-  /// one per row materialized into caller scratch). Stored-mirror mode must
-  /// stay at exactly 0 — any bump there means a caller silently fell off the
-  /// in-place row path (asserted by tests/fuzz/dense_free_test).
-  std::atomic<std::uint64_t> codebook_row_rematerializations{0};
 };
 
 [[nodiscard]] inline EncodeCounters& counters() noexcept {
@@ -78,11 +73,6 @@ inline void note_packed_codebook_build() noexcept {
   counters().packed_codebook_builds.fetch_add(1, std::memory_order_relaxed);
 }
 
-inline void note_codebook_row_rematerialization() noexcept {
-  counters().codebook_row_rematerializations.fetch_add(
-      1, std::memory_order_relaxed);
-}
-
 [[nodiscard]] inline std::uint64_t dense_hv_materializations() noexcept {
   return counters().dense_hv_materializations.load(std::memory_order_relaxed);
 }
@@ -107,11 +97,6 @@ inline void note_codebook_row_rematerialization() noexcept {
   return counters().packed_codebook_builds.load(std::memory_order_relaxed);
 }
 
-[[nodiscard]] inline std::uint64_t codebook_row_rematerializations() noexcept {
-  return counters().codebook_row_rematerializations.load(
-      std::memory_order_relaxed);
-}
-
 /// Zeroes all counters (tests snapshot around the region under scrutiny).
 inline void reset() noexcept {
   counters().dense_hv_materializations.store(0, std::memory_order_relaxed);
@@ -120,8 +105,6 @@ inline void reset() noexcept {
   counters().packed_am_rebuilds.store(0, std::memory_order_relaxed);
   counters().item_memory_generations.store(0, std::memory_order_relaxed);
   counters().packed_codebook_builds.store(0, std::memory_order_relaxed);
-  counters().codebook_row_rematerializations.store(0,
-                                                   std::memory_order_relaxed);
 }
 
 }  // namespace hdtest::hdc::instrument

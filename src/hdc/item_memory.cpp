@@ -96,8 +96,6 @@ PackedItemMemory::PackedItemMemory(const PackedItemMemory& other)
     : dim_(other.dim_),
       count_(other.count_),
       stride_(other.stride_),
-      seed_(other.seed_),
-      remat_(other.remat_),
       storage_(other.storage_) {
   // An owning copy re-points into its own storage; a view copy keeps
   // borrowing the external words.
@@ -113,8 +111,6 @@ PackedItemMemory::PackedItemMemory(PackedItemMemory&& other) noexcept
     : dim_(std::exchange(other.dim_, 0)),
       count_(std::exchange(other.count_, 0)),
       stride_(std::exchange(other.stride_, 0)),
-      seed_(std::exchange(other.seed_, 0)),
-      remat_(std::exchange(other.remat_, false)),
       data_(std::exchange(other.data_, nullptr)),
       storage_(std::move(other.storage_)) {
   other.storage_.clear();
@@ -126,8 +122,6 @@ PackedItemMemory& PackedItemMemory::operator=(
     dim_ = std::exchange(other.dim_, 0);
     count_ = std::exchange(other.count_, 0);
     stride_ = std::exchange(other.stride_, 0);
-    seed_ = std::exchange(other.seed_, 0);
-    remat_ = std::exchange(other.remat_, false);
     data_ = std::exchange(other.data_, nullptr);
     storage_ = std::move(other.storage_);
     other.storage_.clear();
@@ -178,55 +172,39 @@ PackedItemMemory PackedItemMemory::remat(std::size_t dim, std::size_t count,
   memory.dim_ = dim;
   memory.count_ = count;
   memory.stride_ = util::words_for_bits(dim);
-  memory.seed_ = seed;
-  memory.remat_ = true;
+  memory.storage_.resize(count * memory.stride_);
+  // Bit-exact with PackedHv::from_dense(Hypervector::random(dim, rng)) for
+  // rng = Rng(derive_seed(seed, i)): random() maps rng bit 1 -> +1 and
+  // bit 0 -> -1 consuming one u64 per 64 lanes, from_dense packs bit 1 for
+  // element -1 — so each packed word is the complement of one rng draw,
+  // with padding past dim cleared like every packed row.
+  const std::size_t last = memory.stride_ - 1;
+  for (std::size_t i = 0; i < count; ++i) {
+    util::Rng rng(util::derive_seed(seed, i));
+    std::uint64_t* row = memory.storage_.data() + i * memory.stride_;
+    for (std::size_t w = 0; w < last; ++w) row[w] = ~rng.next_u64();
+    row[last] = ~rng.next_u64() & util::tail_mask(dim);
+  }
+  memory.data_ = memory.storage_.data();
   return memory;
 }
 
 std::span<const std::uint64_t> PackedItemMemory::at(std::size_t index) const {
-  if (remat_) {
-    throw std::logic_error(
-        "PackedItemMemory::at: rematerializing memory stores no words; use "
-        "row() with caller scratch");
-  }
   if (index >= count_) {
     throw std::out_of_range("PackedItemMemory::at: index out of range");
   }
   return (*this)[index];
 }
 
-HDTEST_HOT_PATH void PackedItemMemory::materialize_row(
-    std::size_t index, std::span<std::uint64_t> out) const noexcept {
-  // Bit-exact with PackedHv::from_dense(Hypervector::random(dim, rng)) for
-  // rng = Rng(derive_seed(seed, index)): random() maps rng bit 1 -> +1 and
-  // bit 0 -> -1 consuming one u64 per 64 lanes, from_dense packs bit 1 for
-  // element -1 — so each packed word is the complement of one rng draw,
-  // with padding past dim cleared like every stored mirror row.
-  util::Rng rng(util::derive_seed(seed_, index));
-  const std::size_t last = stride_ - 1;
-  for (std::size_t w = 0; w < last; ++w) out[w] = ~rng.next_u64();
-  out[last] = ~rng.next_u64() & util::tail_mask(dim_);
-  instrument::note_codebook_row_rematerialization();
-}
-
 std::uint64_t PackedItemMemory::content_digest() const {
   // Little-endian per-word byte fold so the digest equals util::fnv1a over
   // the stored mirror's on-disk bytes (the v3 codebook section image).
   std::uint64_t digest = util::kFnv1aOffsetBasis;
-  const auto fold_word = [&digest](std::uint64_t word) {
+  for (const std::uint64_t word : words()) {
     for (int shift = 0; shift < 64; shift += 8) {
       digest = util::fnv1a_byte(digest,
                                 static_cast<std::uint8_t>(word >> shift));
     }
-  };
-  if (!remat_) {
-    for (const std::uint64_t word : words()) fold_word(word);
-    return digest;
-  }
-  std::vector<std::uint64_t> scratch(stride_);
-  for (std::size_t i = 0; i < count_; ++i) {
-    materialize_row(i, scratch);
-    for (const std::uint64_t word : scratch) fold_word(word);
   }
   return digest;
 }

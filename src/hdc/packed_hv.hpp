@@ -11,8 +11,9 @@
 /// This is the dense-binary-HDC rematerialization trick (Schmuck et al.,
 /// JETC'19) referenced in the paper's related work. The packed backend is an
 /// internal accelerator: tests assert bit-exact agreement with the dense
-/// int8 implementation, and bench/hv_ops_gbench quantifies the speedup
-/// (design decision 1 in DESIGN.md).
+/// int8 implementation, which stays as the reference because it is the
+/// paper's arithmetic written out; bench/hv_ops_gbench quantifies the
+/// speedup.
 
 #include <cstddef>
 #include <cstdint>

@@ -67,7 +67,7 @@ enum SectionKind : std::uint32_t {
 
 /// Header flag: the position codebook mirror (and, for the random value
 /// strategy, the value mirror) is omitted from the file; loaders
-/// rematerialize those rows from the config seed and verify them against
+/// regenerate those rows from the config seed and verify them against
 /// the kCodebookDigestSection digests. Pre-remat readers require the flags
 /// word to be zero, so they reject flagged files with a clean error instead
 /// of misparsing them.
@@ -219,7 +219,8 @@ struct SectionBlob {
   std::size_t offset = 0;
 };
 
-std::string build_v3_file(const HdcClassifier& model) {
+std::string build_v3_file(const HdcClassifier& model,
+                          CodebookMode codebooks) {
   const auto& config = model.config();
   const auto& packed = model.am().packed();
   const std::size_t stride = util::words_for_bits(config.dim);
@@ -255,16 +256,15 @@ std::string build_v3_file(const HdcClassifier& model) {
                am_words.size_bytes());
   sections.push_back(std::move(am_blob));
 
-  // A rematerializing model regenerates its position rows (and, under the
-  // random value strategy, its value rows) from the seed on every encode,
-  // so the file drops those mirror sections and records a 16-byte digest
-  // section instead; loaders re-derive the rows and prove they match what
-  // this process encoded with. Correlated value codebooks (level /
-  // thermometer) are not per-row regenerable, so their mirror stays stored
-  // even in remat mode.
+  // The remat layout drops the mirror sections a loader can regenerate from
+  // the seed — the position rows, and the value rows under the random value
+  // strategy — and records a 16-byte digest section instead; loaders
+  // re-derive the rows and prove they match what this model encodes with.
+  // Correlated value codebooks (level / thermometer) are not per-row
+  // regenerable, so their mirror stays stored in either layout.
   const auto& positions = model.encoder().packed_position_memory();
   const auto& values = model.encoder().packed_value_memory();
-  const bool remat = positions.rematerializing();
+  const bool remat = codebooks == CodebookMode::kRemat;
   if (!remat) {
     SectionBlob pos_blob;
     pos_blob.kind = kPositionCodebookSection;
@@ -274,7 +274,7 @@ std::string build_v3_file(const HdcClassifier& model) {
     sections.push_back(std::move(pos_blob));
   }
 
-  if (!values.rematerializing()) {
+  if (!remat || config.value_strategy != ValueStrategy::kRandom) {
     SectionBlob val_blob;
     val_blob.kind = kValueCodebookSection;
     const auto val_words = values.words();
@@ -353,7 +353,7 @@ struct ParsedV3 {
   std::span<const std::byte> accumulators;
   std::span<const std::byte> am_words;
   std::span<const std::byte> positions;  ///< empty for a remat file
-  std::span<const std::byte> values;     ///< empty when the value rows remat
+  std::span<const std::byte> values;     ///< empty when a remat file omits it
   std::span<const std::byte> tie_break;
   bool remat = false;  ///< header flag: codebook mirrors omitted
   std::uint64_t position_digest = 0;  ///< meaningful only when remat
@@ -513,12 +513,7 @@ ParsedV3 parse_v3(std::span<const std::byte> file, bool verify_checksum) {
   if (parsed.stride != util::words_for_bits(parsed.config.dim)) {
     throw std::runtime_error("load_model: packed stride does not match dim");
   }
-  // The file's storage mode overrides the process default: loading must
-  // reconstruct exactly what was saved, regardless of HDTEST_CODEBOOK in
-  // the loading process.
   parsed.remat = remat;
-  parsed.config.codebook =
-      remat ? CodebookMode::kRemat : CodebookMode::kStored;
   if (remat) {
     // Only the random value strategy derives each row independently from
     // the seed; a remat file with a correlated (level/thermometer) strategy
@@ -632,10 +627,10 @@ HdcClassifier load_v3_buffer(std::span<const std::byte> file) {
     throw std::runtime_error(std::string("load_model: ") + error.what());
   }
   if (parsed.remat) {
-    // The rebuilt encoder rematerializes its codebooks from the stored
-    // seed; prove that regeneration reproduces what the saving process
-    // encoded with before handing the model out — a wrong-seed or
-    // cross-version file must fail loudly here, not mispredict quietly.
+    // The rebuilt encoder regenerates its codebooks from the stored seed;
+    // prove that regeneration reproduces what the saving process encoded
+    // with before handing the model out — a wrong-seed or cross-version
+    // file must fail loudly here, not mispredict quietly.
     const auto& encoder = model.encoder();
     if (encoder.packed_position_memory().content_digest() !=
             parsed.position_digest ||
@@ -651,17 +646,19 @@ HdcClassifier load_v3_buffer(std::span<const std::byte> file) {
 
 }  // namespace
 
-void save_model(const HdcClassifier& model, std::ostream& out) {
+void save_model(const HdcClassifier& model, std::ostream& out,
+                CodebookMode codebooks) {
   require_little_endian("save_model");
   if (!model.trained()) {
     throw std::logic_error("save_model: model is not trained");
   }
-  const std::string file = build_v3_file(model);
+  const std::string file = build_v3_file(model, codebooks);
   out.write(file.data(), static_cast<std::streamsize>(file.size()));
   if (!out) throw std::runtime_error("save_model: write failed");
 }
 
-void save_model(const HdcClassifier& model, const std::string& path) {
+void save_model(const HdcClassifier& model, const std::string& path,
+                CodebookMode codebooks) {
   // Crash-safe save: write a temp file, fsync it, rename over the
   // destination, fsync the directory. A power cut at any point leaves
   // either the old model or the complete new one on disk — never a torn
@@ -672,7 +669,7 @@ void save_model(const HdcClassifier& model, const std::string& path) {
     if (!out) {
       throw std::runtime_error("save_model: cannot open " + tmp_path);
     }
-    save_model(model, out);
+    save_model(model, out, codebooks);
     // Close explicitly: buffered bytes are flushed by the destructor too,
     // but the destructor swallows failures — an ENOSPC surfacing at close
     // would otherwise leave a silently truncated model on disk.
@@ -746,8 +743,8 @@ MappedModel::MappedModel(const std::string& path, MapOptions options)
     // shapes + clean padding) except the tie-break, whose stride words are
     // copied once so the encode kernel can take a PackedHv. A remat file
     // carries no position mirror (and no value mirror under the random
-    // strategy): those codebooks are rebuilt as rematerializing memories
-    // over the stored seed instead of views into the file.
+    // strategy): those codebooks are regenerated from the stored seed into
+    // owned words instead of viewed in the file.
     if (parsed.remat) {
       positions_ = PackedItemMemory::remat(
           config_.dim, checked_mul(width_, height_, "position codebook"),
@@ -777,10 +774,9 @@ MappedModel::MappedModel(const std::string& path, MapOptions options)
     throw std::runtime_error(std::string("MappedModel: ") + error.what());
   }
   if (parsed.remat && options.verify_checksum) {
-    // One regeneration sweep over the codebooks at map time is the only way
-    // to prove the seed reproduces the digests the saver recorded. Maps
-    // with verify_checksum off keep their O(1) cold start and defer that
-    // trust to the serving stack, exactly as for the file checksum.
+    // The digests prove the seed reproduces the codebooks the saver
+    // recorded. Maps with verify_checksum off defer that trust to the
+    // serving stack, exactly as for the file checksum.
     if (positions_.content_digest() != parsed.position_digest ||
         values_.content_digest() != parsed.value_digest) {
       throw std::runtime_error(

@@ -18,19 +18,18 @@
 /// retired v1/v2 stream layouts — are rejected with "unsupported format
 /// version N".
 ///
-/// A model trained with CodebookMode::kRemat writes the *remat variant* of
-/// v3 (header flag bit 0): the position codebook mirror — by far the
-/// largest section — is omitted, as is the value mirror when the random
-/// value strategy can regenerate it row-by-row from the seed; a 16-byte
+/// save_model(..., CodebookMode::kRemat) writes the *remat variant* of v3
+/// (header flag bit 0): the position codebook mirror — by far the largest
+/// section — is omitted, as is the value mirror when the random value
+/// strategy can regenerate it row-by-row from the seed; a 16-byte
 /// codebook-digest section (FNV-1a over each mirror's packed words) rides
-/// along instead. Loaders rematerialize the dropped codebooks from the
-/// stored seed and verify them against the digests, so a wrong-seed file
-/// fails loudly instead of mispredicting quietly. Correlated value
-/// strategies (level/thermometer) keep their value mirror stored even in
-/// remat mode. The file's storage mode wins on load: a remat file loads as
-/// a remat model and a stored file as a stored model, regardless of the
-/// loading process's HDTEST_CODEBOOK default. Unknown flag bits are
-/// rejected.
+/// along instead. Loaders regenerate the dropped codebooks from the stored
+/// seed and verify them against the digests, so a wrong-seed file fails
+/// loudly instead of mispredicting quietly. Correlated value strategies
+/// (level/thermometer) keep their value mirror stored in the remat variant.
+/// The layout is a property of the file only: every loaded model is the
+/// same in memory, and saving it again writes whichever layout the caller
+/// asks for. Unknown flag bits are rejected.
 ///
 /// Byte order: little-endian by contract, with a header marker. Big-endian
 /// hosts are cleanly rejected by both save and load rather than silently
@@ -48,8 +47,8 @@
 /// materializations (instrument counters prove it; asserted by
 /// tests/hdc/mapped_model_test), and N processes mapping one model file
 /// share its pages through the kernel page cache. For remat files the
-/// omitted codebooks become rematerializing memories over the stored seed —
-/// rows regenerate per encode, and the map stays dense-free either way.
+/// omitted codebooks are regenerated from the stored seed once, at map
+/// time, into owned packed words — still without a dense intermediate.
 
 #include <cstddef>
 #include <cstdint>
@@ -66,13 +65,30 @@ namespace hdtest::hdc {
 /// The serialization format version, the only one written and read.
 inline constexpr std::uint32_t kModelFormatVersion = 3;
 
-/// Writes a trained model to a stream in format v3.
+/// Which v3 layout save_model writes for the packed codebook mirrors. Every
+/// codebook row a random strategy builds is a pure function of the model
+/// seed, so a file can store the mirrors verbatim or leave them for the
+/// loader to regenerate. Loaded models are identical either way.
+enum class CodebookMode {
+  /// Position and value mirrors stored verbatim — the layout MappedModel
+  /// serves in place with zero regeneration.
+  kStored,
+  /// Header flag bit 0: the position mirror (and the value mirror under
+  /// ValueStrategy::kRandom) omitted, a codebook digest section added.
+  /// About 4x smaller at D=4096; loaders pay one regeneration sweep.
+  kRemat,
+};
+
+/// Writes a trained model to a stream in format v3, in the codebook layout
+/// \p codebooks selects.
 /// \throws std::logic_error if the model is untrained;
 ///         std::runtime_error on I/O failure or a big-endian host.
-void save_model(const HdcClassifier& model, std::ostream& out);
+void save_model(const HdcClassifier& model, std::ostream& out,
+                CodebookMode codebooks = CodebookMode::kStored);
 
 /// Writes a trained model to a file (crash-safe: temp file, fsync, rename).
-void save_model(const HdcClassifier& model, const std::string& path);
+void save_model(const HdcClassifier& model, const std::string& path,
+                CodebookMode codebooks = CodebookMode::kStored);
 
 /// Reads a v3 model from a stream. The returned model is finalized and
 /// ready for prediction and further retraining; the packed snapshot is
@@ -87,12 +103,13 @@ void save_model(const HdcClassifier& model, const std::string& path);
 /// Options for MappedModel.
 struct MapOptions {
   /// Verify the header's whole-file checksum at map time, and — for remat
-  /// files — regenerate the omitted codebooks once and check them against
-  /// the stored digests. Catches any corruption (and any seed that cannot
-  /// reproduce the saved codebooks) but touches every page once; serving
-  /// stacks that trust their artifact store can turn it off for a pure
-  /// O(1) cold start (structural validation — header, section table,
-  /// config, shapes, padding bits — always runs either way).
+  /// files — check the regenerated codebooks against the stored digests.
+  /// Catches any corruption (and any seed that cannot reproduce the saved
+  /// codebooks) but touches every page once; serving stacks that trust
+  /// their artifact store can turn it off for a pure O(1) cold start of a
+  /// stored-layout file (structural validation — header, section table,
+  /// config, shapes, padding bits — always runs either way). A remat file
+  /// regenerates its omitted codebooks at map time whatever this says.
   bool verify_checksum = true;
 };
 
@@ -101,10 +118,9 @@ struct MapOptions {
 /// The packed associative memory, the packed codebook mirrors the file
 /// carries, and the packed tie-break are non-owning views over the
 /// mapping: no copies, no dense->packed rebuilds, no codebook regeneration
-/// from the seed. Codebooks a remat file omits are served as
-/// rematerializing memories instead (rows regenerate from the seed per
-/// encode — still dense-free). All views (and anything copied from them)
-/// must not outlive this object.
+/// from the seed. Codebooks a remat file omits are regenerated from the
+/// seed once, at map time, into owned packed words (still dense-free). All
+/// views (and anything copied from them) must not outlive this object.
 ///
 /// Thread-safety: all member functions are const over immutable state, so
 /// one MappedModel may serve queries from many threads.
@@ -131,8 +147,7 @@ class MappedModel {
   [[nodiscard]] const PackedAssocMemory& am() const noexcept { return am_; }
 
   /// The packed codebooks: mapped rows served in place for sections the
-  /// file carries, rematerializing memories for codebooks a remat file
-  /// omits (check rematerializing() before asking for stored words).
+  /// file carries, owned regenerated rows for codebooks a remat file omits.
   [[nodiscard]] const PackedItemMemory& position_codebook() const noexcept {
     return positions_;
   }
@@ -159,8 +174,8 @@ class MappedModel {
   ModelConfig config_;
   std::size_t width_ = 0;
   std::size_t height_ = 0;
-  PackedItemMemory positions_;  ///< view into file_
-  PackedItemMemory values_;     ///< view into file_
+  PackedItemMemory positions_;  ///< view into file_, or owned (remat file)
+  PackedItemMemory values_;     ///< view into file_, or owned (remat file)
   PackedHv tie_break_;          ///< tiny owned copy of the stored words
   PackedAssocMemory am_;        ///< view into file_
 };

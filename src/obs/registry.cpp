@@ -98,8 +98,6 @@ Registry& Registry::global() {
                       &cells.item_memory_generations);
     reg.bind_external("hdc_packed_codebook_builds_total",
                       &cells.packed_codebook_builds);
-    reg.bind_external("hdc_codebook_row_rematerializations_total",
-                      &cells.codebook_row_rematerializations);
     return reg;
   }();
   return instance;

@@ -9,7 +9,7 @@
 //     the entry point; seed the corpus with the v3 stored and v3 remat files
 //     this binary writes when run with --emit-corpus DIR.
 //   * standalone (default; works under GCC, which ships no libFuzzer): main()
-//     generates the two seed artifacts from tiny trained models, then
+//     generates the two seed artifacts from a tiny trained model, then
 //     runs a deterministic bounded mutation loop (util::Rng, fixed seed)
 //     over them. This is what ctest runs, so the ASan/UBSan CI legs police
 //     the deserializers on every push.
@@ -83,22 +83,21 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
 namespace {
 
-/// Serialized v3 artifacts of one tiny model trained both ways — the
-/// stored layout (codebook mirror sections) and the remat layout (header
-/// flag, codebook digest section, no mirrors) — realistic headers, section
+/// Serialized v3 artifacts of one tiny model saved both ways — the stored
+/// layout (codebook mirror sections) and the remat layout (header flag,
+/// codebook digest section, no mirrors) — realistic headers, section
 /// tables, and checksums for the mutator to break.
 std::vector<std::string> make_seed_corpus() {
   const auto dataset = hdtest::data::make_digit_dataset(4, /*seed=*/17);
+  hdtest::hdc::ModelConfig config;
+  config.dim = 512;  // small but structurally complete
+  hdtest::hdc::HdcClassifier model(config, 28, 28, 10);
+  model.fit(dataset);
   std::vector<std::string> corpus;
-  for (const auto mode : {hdtest::hdc::CodebookMode::kStored,
-                          hdtest::hdc::CodebookMode::kRemat}) {
-    hdtest::hdc::ModelConfig config;
-    config.dim = 512;  // small but structurally complete
-    config.codebook = mode;
-    hdtest::hdc::HdcClassifier model(config, 28, 28, 10);
-    model.fit(dataset);
+  for (const auto codebooks : {hdtest::hdc::CodebookMode::kStored,
+                               hdtest::hdc::CodebookMode::kRemat}) {
     std::ostringstream out;
-    hdtest::hdc::save_model(model, out);
+    hdtest::hdc::save_model(model, out, codebooks);
     corpus.push_back(out.str());
   }
   return corpus;

@@ -1,18 +1,19 @@
-// On-the-fly codebook rematerialization property suite: a remat-mode model
-// (no stored codebook mirrors; rows regenerate from the seed per encode)
-// must be bit-identical to the stored-mirror model in everything it
-// computes — predictions, packed encodes, fuzz campaign records — across
-// every available kernel backend, diffed against the scalar oracle backend,
-// and both serving modes (owning encoder and mmap-served file). Also pins
-// the rematerialization counter semantics: stored-mode paths never rematerialize a row, remat
-// paths never touch mirror storage.
+// Remat file layout property suite: a model saved with
+// save_model(..., CodebookMode::kRemat) omits its codebook mirrors, and every
+// loader regenerates them from the seed. Whatever is served from that file —
+// stream-loaded or memory-mapped — must be bit-identical to the stored-layout
+// file in everything it computes (predictions, fuzz campaign records) across
+// every available kernel backend, diffed against the scalar oracle backend.
+// Also pins the regeneration rule itself (PackedItemMemory::remat against
+// packing the dense ItemMemory) at the word-tail dims, and the unverified
+// map's dense-free cold start.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <random>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,37 +29,32 @@
 namespace hdtest::hdc {
 namespace {
 
-ModelConfig config_for(std::size_t dim, CodebookMode mode,
-                       ValueStrategy strategy = ValueStrategy::kRandom) {
-  ModelConfig config;
-  config.dim = dim;
-  config.seed = 4242;
-  config.codebook = mode;
-  config.value_strategy = strategy;
-  return config;
-}
-
 const data::TrainTestPair& digits() {
   static const data::TrainTestPair pair =
       data::make_digit_train_test(12, 6, 777);
   return pair;
 }
 
-HdcClassifier trained(const ModelConfig& config) {
+HdcClassifier trained(std::size_t dim) {
+  ModelConfig config;
+  config.dim = dim;
+  config.seed = 4242;
   HdcClassifier model(config, 28, 28, 10);
   model.fit(digits().train);
   return model;
 }
 
-/// A v3 model file on disk, removed on scope exit.
+/// A v3 model file on disk in the given codebook layout, removed on scope
+/// exit.
 class ModelFile {
  public:
-  explicit ModelFile(const HdcClassifier& model, const char* tag) {
+  ModelFile(const HdcClassifier& model, CodebookMode codebooks,
+            const char* tag) {
     path_ = (std::filesystem::temp_directory_path() /
              (std::string("hdtest_remat_") + tag + "_" +
               std::to_string(std::random_device{}()) + ".hdtm"))
                 .string();
-    save_model(model, path_);
+    save_model(model, path_, codebooks);
   }
   ~ModelFile() { std::filesystem::remove(path_); }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
@@ -67,67 +63,53 @@ class ModelFile {
   std::string path_;
 };
 
-// The tentpole acceptance sweep: dims covering word-tail boundaries and
-// production scale, every available kernel backend, stored vs remat,
-// owning vs mapped — one bit-identical prediction vector per cell, the
-// expected one computed on the scalar oracle backend. Training itself runs
-// on the default backend, so the cells also diff it against the oracle.
+// The acceptance sweep: dims covering word-tail boundaries and production
+// scale, every available kernel backend, stored vs remat file, stream load
+// vs mapped — one bit-identical prediction vector per cell, the expected one
+// computed from the trained model on the scalar oracle backend.
 TEST(CodebookRemat, PredictionsBitIdenticalAcrossEveryCell) {
   for (const std::size_t dim : {63u, 64u, 65u, 4096u, 16384u}) {
-    const auto stored = trained(config_for(dim, CodebookMode::kStored));
-    const auto remat = trained(config_for(dim, CodebookMode::kRemat));
+    const auto model = trained(dim);
     const auto expected = [&] {
       BackendGuard oracle("oracle");
-      return stored.predict_batch(digits().test.images);
+      return model.predict_batch(digits().test.images);
     }();
-    const ModelFile stored_file(stored, "cellstored");
-    const ModelFile remat_file(remat, "cellremat");
+    const ModelFile stored(model, CodebookMode::kStored, "cellstored");
+    const ModelFile remat(model, CodebookMode::kRemat, "cellremat");
+    ASSERT_LT(std::filesystem::file_size(remat.path()),
+              std::filesystem::file_size(stored.path()))
+        << "dim=" << dim;
     for (const auto* backend : util::simd::available_kernels()) {
       BackendGuard kernel_guard(backend->name);
-      EXPECT_EQ(remat.predict_batch(digits().test.images), expected)
-          << "owning dim=" << dim << " backend=" << backend->name;
-      EXPECT_EQ(stored.predict_batch(digits().test.images), expected)
-          << "stored dim=" << dim << " backend=" << backend->name;
-      const MappedModel mapped_stored(stored_file.path());
-      const MappedModel mapped_remat(remat_file.path());
-      EXPECT_EQ(mapped_stored.predict_batch(digits().test.images), expected)
-          << "mapped-stored dim=" << dim << " backend=" << backend->name;
-      EXPECT_EQ(mapped_remat.predict_batch(digits().test.images), expected)
-          << "mapped-remat dim=" << dim << " backend=" << backend->name;
-    }
-  }
-}
-
-TEST(CodebookRemat, PackedEncodesAgreeForCorrelatedValueStrategies) {
-  // Level/thermometer value codebooks stay stored even in remat mode (the
-  // rows are correlated, not per-row regenerable); the mixed encoder must
-  // still match the fully stored one bit for bit.
-  for (const auto strategy :
-       {ValueStrategy::kLevel, ValueStrategy::kThermometer}) {
-    auto stored_config = config_for(512, CodebookMode::kStored, strategy);
-    stored_config.value_levels = 16;
-    auto remat_config = stored_config;
-    remat_config.codebook = CodebookMode::kRemat;
-    const PixelEncoder enc_stored(stored_config, 28, 28);
-    const PixelEncoder enc_remat(remat_config, 28, 28);
-    EXPECT_FALSE(enc_remat.packed_value_memory().rematerializing());
-    EXPECT_TRUE(enc_remat.packed_position_memory().rematerializing());
-    for (const auto& image : digits().test.images) {
-      EXPECT_EQ(enc_remat.encode_packed(image),
-                enc_stored.encode_packed(image));
+      for (const auto* file : {&stored, &remat}) {
+        const char* layout = file == &stored ? "stored" : "remat";
+        EXPECT_EQ(load_model(file->path()).predict_batch(digits().test.images),
+                  expected)
+            << "load_model " << layout << " dim=" << dim
+            << " backend=" << backend->name;
+        const MappedModel mapped(file->path());
+        EXPECT_EQ(mapped.predict_batch(digits().test.images), expected)
+            << "MappedModel " << layout << " dim=" << dim
+            << " backend=" << backend->name;
+      }
     }
   }
 }
 
 TEST(CodebookRemat, CampaignRecordsBitIdenticalAcrossStorageAndDevices) {
-  // run_campaign records must not depend on codebook storage mode or the
-  // kernel backend — the full differential-fuzzing observable surface. The
-  // reference run is the stored model on the scalar oracle backend.
-  const auto stored = trained(config_for(2048, CodebookMode::kStored));
-  const auto remat = trained(config_for(2048, CodebookMode::kRemat));
+  // run_campaign records of a model loaded from a remat file must match the
+  // stored-file model's under every kernel backend — the full differential-
+  // fuzzing observable surface. The reference run is the trained model on
+  // the scalar oracle backend.
+  const auto model = trained(2048);
+  const ModelFile stored_file(model, CodebookMode::kStored, "campstored");
+  const ModelFile remat_file(model, CodebookMode::kRemat, "campremat");
+  const auto stored = load_model(stored_file.path());
+  const auto remat = load_model(remat_file.path());
   const fuzz::GaussNoiseMutation strategy;
   fuzz::FuzzConfig fuzz_config;
   fuzz_config.iter_times = 4;
+  const fuzz::Fuzzer reference_fuzzer(model, strategy, fuzz_config);
   const fuzz::Fuzzer stored_fuzzer(stored, strategy, fuzz_config);
   const fuzz::Fuzzer remat_fuzzer(remat, strategy, fuzz_config);
   fuzz::CampaignConfig campaign;
@@ -136,7 +118,7 @@ TEST(CodebookRemat, CampaignRecordsBitIdenticalAcrossStorageAndDevices) {
 
   const auto baseline = [&] {
     BackendGuard oracle("oracle");
-    return fuzz::run_campaign(stored_fuzzer, digits().test, campaign);
+    return fuzz::run_campaign(reference_fuzzer, digits().test, campaign);
   }();
   for (const auto* backend : util::simd::available_kernels()) {
     BackendGuard guard(backend->name);
@@ -145,41 +127,57 @@ TEST(CodebookRemat, CampaignRecordsBitIdenticalAcrossStorageAndDevices) {
     const auto remat_result =
         fuzz::run_campaign(remat_fuzzer, digits().test, campaign);
     if (const auto diff = fuzz::first_divergence(baseline, stored_result)) {
-      ADD_FAILURE() << "stored backend=" << backend->name << ": "
+      ADD_FAILURE() << "stored file backend=" << backend->name << ": "
                     << diff->describe();
     }
-    if (const auto diff = fuzz::first_divergence(baseline, remat_result)) {
-      ADD_FAILURE() << "remat backend=" << backend->name << ": "
-                    << diff->describe();
+    if (const auto diff = fuzz::first_divergence(stored_result, remat_result)) {
+      ADD_FAILURE() << "remat file vs stored file backend=" << backend->name
+                    << ": " << diff->describe();
     }
   }
 }
 
-TEST(CodebookRemat, StoredPathsNeverRematerializeARow) {
-  const auto stored = trained(config_for(1024, CodebookMode::kStored));
-  const ModelFile file(stored, "counter");
+TEST(CodebookRemat, UnverifiedRematMapIsDenseFreeAndBitIdentical) {
+  // Mapping a remat file regenerates the omitted codebooks straight into
+  // packed words: no dense Hypervector, no from_dense re-pack, no ItemMemory
+  // generation — with the digest sweep off, and through serving.
+  const auto model = trained(1024);
+  const auto expected = model.predict_batch(digits().test.images);
+  const ModelFile file(model, CodebookMode::kRemat, "densefree");
+  MapOptions options;
+  options.verify_checksum = false;
   instrument::reset();
-  (void)stored.predict_batch(digits().test.images);
-  const auto loaded = load_model(file.path());
-  (void)loaded.predict_batch(digits().test.images);
-  const MappedModel mapped(file.path());
-  (void)mapped.predict_batch(digits().test.images);
-  EXPECT_EQ(instrument::codebook_row_rematerializations(), 0u)
-      << "a stored-mirror path regenerated a codebook row";
+  const MappedModel mapped(file.path(), options);
+  const auto labels = mapped.predict_batch(digits().test.images);
+  EXPECT_EQ(instrument::dense_hv_materializations(), 0u);
+  EXPECT_EQ(instrument::packed_from_dense(), 0u);
+  EXPECT_EQ(instrument::item_memory_generations(), 0u);
+  EXPECT_EQ(instrument::packed_codebook_builds(), 0u);
+  EXPECT_EQ(labels, expected);
 }
 
-TEST(CodebookRemat, RematPathsRematerializeWithoutMirrorStorage) {
-  const auto remat = trained(config_for(1024, CodebookMode::kRemat));
-  EXPECT_TRUE(remat.encoder().packed_position_memory().rematerializing());
-  EXPECT_TRUE(remat.encoder().packed_value_memory().rematerializing());
-  EXPECT_FALSE(remat.encoder().packed_position_memory().owning());
-  EXPECT_THROW((void)remat.encoder().packed_position_memory().at(0),
-               std::logic_error);
-  instrument::reset();
-  (void)remat.predict(digits().test.images[0]);
-  // One row per pixel position and one per pixel value lookup: 28*28 of
-  // each for a full encode.
-  EXPECT_EQ(instrument::codebook_row_rematerializations(), 2u * 28u * 28u);
+TEST(CodebookRemat, RegeneratedRowsMatchPackedItemMemoryAtTailDims) {
+  // The regeneration rule (one complemented rng word per 64 lanes, padding
+  // past dim cleared) must reproduce packing the dense random codebook,
+  // including the partial, exact and one-over last words.
+  for (const std::size_t dim : {63u, 64u, 65u}) {
+    constexpr std::size_t kCount = 7;
+    constexpr std::uint64_t kSeed = 0x5eedULL;
+    const PackedItemMemory packed(
+        ItemMemory(kCount, dim, kSeed, ValueStrategy::kRandom));
+    const auto regenerated = PackedItemMemory::remat(dim, kCount, kSeed);
+    EXPECT_TRUE(regenerated.owning());
+    ASSERT_EQ(regenerated.count(), kCount);
+    ASSERT_EQ(regenerated.words_per_entry(), packed.words_per_entry());
+    for (std::size_t i = 0; i < kCount; ++i) {
+      const auto want = packed[i];
+      const auto got = regenerated[i];
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "dim=" << dim << " row=" << i;
+    }
+    EXPECT_EQ(regenerated.content_digest(), packed.content_digest())
+        << "dim=" << dim;
+  }
 }
 
 }  // namespace

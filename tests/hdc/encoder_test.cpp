@@ -31,10 +31,7 @@ data::Image random_image(std::size_t w, std::size_t h, std::uint64_t seed) {
 }
 
 TEST(PixelEncoder, MemoriesHaveExpectedShapes) {
-  // Inspects the dense mirrors, which only a stored-mode encoder keeps.
-  auto config = small_config();
-  config.codebook = CodebookMode::kStored;
-  const PixelEncoder enc(config, 8, 6);
+  const PixelEncoder enc(small_config(), 8, 6);
   EXPECT_EQ(enc.width(), 8u);
   EXPECT_EQ(enc.height(), 6u);
   EXPECT_EQ(enc.position_memory().count(), 48u);
@@ -72,27 +69,10 @@ TEST(PixelEncoder, DifferentSeedsGiveDifferentEncodings) {
 }
 
 TEST(PixelEncoder, PixelHvIsBindOfPositionAndValue) {
-  // Dense-mirror inspection needs a stored-mode encoder.
-  auto config = small_config();
-  config.codebook = CodebookMode::kStored;
-  const PixelEncoder enc(config, 4, 4);
+  const PixelEncoder enc(small_config(), 4, 4);
   const auto expected = bind(enc.position_memory().at(5),
                              enc.value_memory().at(100));
   EXPECT_EQ(enc.pixel_hv(5, 100), expected);
-}
-
-TEST(PixelEncoder, RematPixelHvMatchesStored) {
-  // pixel_hv works in remat mode too (rows regenerate on demand) and must
-  // reproduce the stored encoder's bind bit for bit.
-  auto stored = small_config();
-  stored.codebook = CodebookMode::kStored;
-  auto remat = stored;
-  remat.codebook = CodebookMode::kRemat;
-  const PixelEncoder enc_stored(stored, 4, 4);
-  const PixelEncoder enc_remat(remat, 4, 4);
-  EXPECT_EQ(enc_remat.pixel_hv(5, 100), enc_stored.pixel_hv(5, 100));
-  EXPECT_THROW((void)enc_remat.position_memory(), std::logic_error);
-  EXPECT_THROW((void)enc_remat.value_memory(), std::logic_error);
 }
 
 TEST(PixelEncoder, EncodeIntoMatchesEncode) {

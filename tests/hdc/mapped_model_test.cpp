@@ -33,10 +33,10 @@ HdcClassifier trained_model(std::uint64_t seed = 17,
   config.dim = 1024;
   config.seed = seed;
   config.similarity = sim;
-  // This suite asserts the stored-mirror zero-copy contract (views over the
-  // mapping, zero regenerations); the remat layout has its own coverage in
+  // This suite asserts the stored-layout zero-copy contract (views over the
+  // mapping, zero regenerations), so ModelFile saves with the default
+  // CodebookMode::kStored; the remat layout has its own coverage in
   // serialize_remat_test / codebook_remat_test.
-  config.codebook = CodebookMode::kStored;
   HdcClassifier model(config, 28, 28, 10);
   model.fit(digits().train);
   return model;

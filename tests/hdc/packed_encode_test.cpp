@@ -222,11 +222,7 @@ TEST(PackedEncode, MatchesDenseEncodeWithQuantizedValues) {
 }
 
 TEST(PackedEncode, PackedCodebooksMirrorDenseEntries) {
-  // Compares packed mirrors against the dense mirrors, which only a
-  // stored-mode encoder keeps.
-  auto config = config_for(1000);
-  config.codebook = CodebookMode::kStored;
-  const PixelEncoder enc(config, 6, 5);
+  const PixelEncoder enc(config_for(1000), 6, 5);
   ASSERT_EQ(enc.packed_position_memory().count(), 30u);
   ASSERT_EQ(enc.packed_value_memory().count(), 256u);
   for (std::size_t p = 0; p < 30; ++p) {

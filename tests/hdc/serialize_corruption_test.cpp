@@ -99,9 +99,9 @@ const std::string& v3_bytes() {
     ModelConfig config;
     config.dim = 256;
     config.seed = 31;
-    // This suite doctors the stored six-section layout (the remat layout
-    // has its own corruption coverage in serialize_remat_test).
-    config.codebook = CodebookMode::kStored;
+    // This suite doctors the stored six-section layout save_model writes
+    // by default (the remat layout has its own corruption coverage in
+    // serialize_remat_test).
     HdcClassifier model(config, 28, 28, 10);
     model.fit(pair.train);
     std::ostringstream out;

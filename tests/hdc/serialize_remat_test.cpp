@@ -1,6 +1,6 @@
-// Serializer coverage for the v3 remat layout (header flag bit 0): round
-// trips, the on-disk size win, storage-mode fidelity on load, and the
-// rejection matrix — doctored flags, misplaced sections, digest mismatches,
+// Serializer coverage for the v3 remat layout (header flag bit 0), written
+// by save_model(..., CodebookMode::kRemat): round trips, the on-disk size
+// win, byte-stable re-saves in either layout, and the rejection matrix — doctored flags, misplaced sections, digest mismatches,
 // and seeds that cannot regenerate the saved codebooks must all throw
 // std::runtime_error, never load silently wrong bits.
 
@@ -103,12 +103,11 @@ const data::TrainTestPair& digits() {
   return pair;
 }
 
-HdcClassifier trained(CodebookMode mode, std::size_t dim = 1024,
+HdcClassifier trained(std::size_t dim = 1024,
                       ValueStrategy strategy = ValueStrategy::kRandom) {
   ModelConfig config;
   config.dim = dim;
   config.seed = 91;
-  config.codebook = mode;
   config.value_strategy = strategy;
   if (strategy != ValueStrategy::kRandom) config.value_levels = 16;
   HdcClassifier model(config, 28, 28, 10);
@@ -116,10 +115,15 @@ HdcClassifier trained(CodebookMode mode, std::size_t dim = 1024,
   return model;
 }
 
-std::string serialized(const HdcClassifier& model) {
+std::string serialized(const HdcClassifier& model,
+                       CodebookMode codebooks = CodebookMode::kStored) {
   std::ostringstream out;
-  save_model(model, out);
+  save_model(model, out, codebooks);
   return out.str();
+}
+
+std::string remat_serialized(std::size_t dim = 1024) {
+  return serialized(trained(dim), CodebookMode::kRemat);
 }
 
 HdcClassifier load_bytes(const std::string& bytes) {
@@ -150,21 +154,22 @@ void with_temp_file(const std::string& bytes, const char* tag, Probe&& probe) {
 // ---------------------------------------------------------------------------
 
 TEST(SerializeRemat, RoundTripPreservesPredictionsAndStorageMode) {
-  const auto model = trained(CodebookMode::kRemat);
-  const auto bytes = serialized(model);
+  const auto model = trained();
+  const auto bytes = serialized(model, CodebookMode::kRemat);
   EXPECT_EQ(read_at<std::uint32_t>(bytes, kFlagsOff), kRematFlag);
   const auto loaded = load_bytes(bytes);
-  EXPECT_EQ(loaded.config().codebook, CodebookMode::kRemat);
-  EXPECT_TRUE(loaded.encoder().packed_position_memory().rematerializing());
   EXPECT_EQ(loaded.predict_batch(digits().test.images),
             model.predict_batch(digits().test.images));
-  // And the remat round trip re-serializes byte-identically.
-  EXPECT_EQ(serialized(loaded), bytes);
+  // The loaded model re-serializes byte-identically in the remat layout,
+  // and in the stored layout exactly as the original model does.
+  EXPECT_EQ(serialized(loaded, CodebookMode::kRemat), bytes);
+  EXPECT_EQ(serialized(loaded), serialized(model));
 }
 
 TEST(SerializeRemat, RematFileDropsMirrorSectionsAndShrinks) {
-  const auto stored_bytes = serialized(trained(CodebookMode::kStored));
-  const auto remat_bytes = serialized(trained(CodebookMode::kRemat));
+  const auto model = trained();
+  const auto stored_bytes = serialized(model);
+  const auto remat_bytes = serialized(model, CodebookMode::kRemat);
   // Stored: six sections including both codebook mirrors, flags clear.
   EXPECT_EQ(read_at<std::uint32_t>(stored_bytes, kFlagsOff), 0u);
   EXPECT_TRUE(has_section(stored_bytes, 4));
@@ -181,34 +186,34 @@ TEST(SerializeRemat, RematFileDropsMirrorSectionsAndShrinks) {
 }
 
 TEST(SerializeRemat, CorrelatedValueStrategyKeepsItsValueMirror) {
-  const auto model =
-      trained(CodebookMode::kRemat, 1024, ValueStrategy::kLevel);
-  const auto bytes = serialized(model);
+  const auto model = trained(1024, ValueStrategy::kLevel);
+  const auto bytes = serialized(model, CodebookMode::kRemat);
   EXPECT_EQ(read_at<std::uint32_t>(bytes, kFlagsOff), kRematFlag);
   EXPECT_FALSE(has_section(bytes, 4));
   EXPECT_TRUE(has_section(bytes, 5));  // level rows are not regenerable
   EXPECT_TRUE(has_section(bytes, 7));
   const auto loaded = load_bytes(bytes);
-  EXPECT_EQ(loaded.config().codebook, CodebookMode::kRemat);
   EXPECT_EQ(loaded.predict_batch(digits().test.images),
             model.predict_batch(digits().test.images));
   with_temp_file(bytes, "level", [&](const std::string& path) {
     const MappedModel mapped(path);
-    EXPECT_TRUE(mapped.position_codebook().rematerializing());
-    EXPECT_FALSE(mapped.value_codebook().rematerializing());
+    // The position rows are regenerated into owned words; the level rows
+    // are served in place from the file.
+    EXPECT_TRUE(mapped.position_codebook().owning());
+    EXPECT_FALSE(mapped.value_codebook().owning());
     EXPECT_EQ(mapped.predict_batch(digits().test.images),
               model.predict_batch(digits().test.images));
   });
 }
 
 TEST(SerializeRemat, MappedServingMatchesOwningAndStoredFile) {
-  const auto stored = trained(CodebookMode::kStored);
-  const auto remat = trained(CodebookMode::kRemat);
-  const auto expected = stored.predict_batch(digits().test.images);
-  with_temp_file(serialized(remat), "map", [&](const std::string& path) {
+  const auto model = trained();
+  const auto expected = model.predict_batch(digits().test.images);
+  with_temp_file(serialized(model, CodebookMode::kRemat), "map",
+                 [&](const std::string& path) {
     const MappedModel mapped(path);
-    EXPECT_TRUE(mapped.position_codebook().rematerializing());
-    EXPECT_TRUE(mapped.value_codebook().rematerializing());
+    EXPECT_TRUE(mapped.position_codebook().owning());
+    EXPECT_TRUE(mapped.value_codebook().owning());
     EXPECT_EQ(mapped.predict_batch(digits().test.images), expected);
     // Structural-only map (checksum + digest sweep off) serves identically.
     MapOptions options;
@@ -219,18 +224,18 @@ TEST(SerializeRemat, MappedServingMatchesOwningAndStoredFile) {
 }
 
 TEST(SerializeRemat, StoredFileLoadsStoredEvenUnderRematDefault) {
-  // The file's storage mode wins over the loading process's env default:
-  // a stored file always yields a stored model (and vice versa), keeping
-  // load → save byte-stable in any environment.
-  const auto bytes = serialized(trained(CodebookMode::kStored));
-  const auto loaded = load_bytes(bytes);
-  EXPECT_EQ(loaded.config().codebook, CodebookMode::kStored);
-  EXPECT_FALSE(loaded.encoder().packed_position_memory().rematerializing());
-  EXPECT_EQ(serialized(loaded), bytes);
+  // The layout is chosen at save time and nowhere else: a stored file
+  // re-saves byte-identically by default, and a model loaded from a remat
+  // file writes that same stored file unless asked for remat again.
+  const auto model = trained();
+  const auto bytes = serialized(model);
+  EXPECT_EQ(serialized(load_bytes(bytes)), bytes);
+  EXPECT_EQ(serialized(load_bytes(serialized(model, CodebookMode::kRemat))),
+            bytes);
 }
 
 TEST(SerializeRemat, RejectsUnknownFlagBits) {
-  auto bytes = serialized(trained(CodebookMode::kRemat));
+  auto bytes = remat_serialized();
   write_at(bytes, kFlagsOff, std::uint32_t{kRematFlag | 2u});
   refresh_checksums(bytes);
   expect_stream_load_throws(bytes);
@@ -243,7 +248,7 @@ TEST(SerializeRemat, RejectsRematFlagOnAFileCarryingMirrors) {
   // A stored six-section file with the remat bit forced on is inconsistent
   // (mirror sections present, digest section missing) — reject, don't pick
   // a side.
-  auto bytes = serialized(trained(CodebookMode::kStored));
+  auto bytes = serialized(trained());
   write_at(bytes, kFlagsOff, kRematFlag);
   refresh_checksums(bytes);
   expect_stream_load_throws(bytes);
@@ -255,7 +260,7 @@ TEST(SerializeRemat, RejectsRematFlagOnAFileCarryingMirrors) {
 TEST(SerializeRemat, RejectsDigestSectionWithoutTheFlag) {
   // Clearing the flag on a remat file makes kind 7 an unknown section (and
   // the mirrors missing) — pre-remat semantics, cleanly rejected.
-  auto bytes = serialized(trained(CodebookMode::kRemat));
+  auto bytes = remat_serialized();
   write_at(bytes, kFlagsOff, std::uint32_t{0});
   refresh_checksums(bytes);
   expect_stream_load_throws(bytes);
@@ -268,7 +273,7 @@ TEST(SerializeRemat, RejectsSeedThatCannotRegenerateTheCodebooks) {
   // Doctoring the stored seed (config field offset 8) re-checksums cleanly,
   // so only the digest verification stands between a wrong-seed file and
   // silently different codebooks.
-  auto bytes = serialized(trained(CodebookMode::kRemat));
+  auto bytes = remat_serialized();
   const auto table = read_table(bytes);
   ASSERT_EQ(table[0].kind, 1u);
   write_at(bytes, static_cast<std::size_t>(table[0].offset) + 8,
@@ -286,7 +291,7 @@ TEST(SerializeRemat, RejectsSeedThatCannotRegenerateTheCodebooks) {
 }
 
 TEST(SerializeRemat, RejectsDoctoredDigestBytes) {
-  auto bytes = serialized(trained(CodebookMode::kRemat));
+  auto bytes = remat_serialized();
   for (const auto& entry : read_table(bytes)) {
     if (entry.kind != 7) continue;
     bytes[static_cast<std::size_t>(entry.offset)] ^= 0x01;
@@ -302,7 +307,7 @@ TEST(SerializeRemat, RejectsMissingValueMirrorForCorrelatedStrategy) {
   // A remat+random file carries no value section; doctoring its strategy
   // field to kLevel claims a correlated codebook that nothing can
   // regenerate — the loader must refuse.
-  auto bytes = serialized(trained(CodebookMode::kRemat));
+  auto bytes = remat_serialized();
   const auto table = read_table(bytes);
   ASSERT_EQ(table[0].kind, 1u);
   const auto config_offset = static_cast<std::size_t>(table[0].offset);
@@ -316,7 +321,7 @@ TEST(SerializeRemat, RejectsMissingValueMirrorForCorrelatedStrategy) {
 }
 
 TEST(SerializeRemat, EveryFlippedHeaderOrTableByteIsRejected) {
-  const auto clean = serialized(trained(CodebookMode::kRemat, 256));
+  const auto clean = remat_serialized(256);
   const auto sections = read_table(clean).size();
   for (std::size_t i = 0; i < kHeaderBytes + sections * kEntryBytes; ++i) {
     std::string corrupt = clean;

@@ -32,8 +32,9 @@ SeedContext Fuzzer::prepare_seed(const data::Image& input) const {
   const auto& encoder = model_->encoder();
   SeedContext seed;
   seed.base_acc = hdc::Accumulator(encoder.dim());
-  encoder.encode_into(input, seed.base_acc);
-  seed.reference = seed.base_acc.bipolarize_packed(encoder.tie_break_packed());
+  // One kernel pass yields both the delta re-encoder's base lanes and the
+  // packed reference query.
+  seed.reference = encoder.encode_into(input, seed.base_acc);
   seed.reference_label = model_->am().packed().predict(seed.reference);
   return seed;
 }

@@ -115,8 +115,9 @@ class Fuzzer {
     return *strategy_;
   }
 
-  /// Full-encodes one input into its reusable seed context (bit-sliced
-  /// kernel; one model query's worth of work).
+  /// Full-encodes one input into its reusable seed context (one fused
+  /// bundle kernel pass for both the lanes and the packed reference; one
+  /// model query's worth of work).
   [[nodiscard]] SeedContext prepare_seed(const data::Image& input) const;
 
   /// Campaign seed warm-up: prepare_seed for every input, parallelized over

@@ -67,7 +67,8 @@ HDTEST_HOT_PATH PackedHv encode_pixels_packed(const PackedItemMemory& positions,
                                               const PackedItemMemory& values,
                                               std::size_t value_levels,
                                               const PackedHv& tie_break,
-                                              const data::Image& image) {
+                                              const data::Image& image,
+                                              Accumulator* lanes) {
   const std::size_t dim = positions.dim();
   if (values.dim() != dim || tie_break.dim() != dim) {
     throw std::invalid_argument(
@@ -82,14 +83,27 @@ HDTEST_HOT_PATH PackedHv encode_pixels_packed(const PackedItemMemory& positions,
     throw std::invalid_argument(
         "encode_pixels_packed: pixel count does not match position codebook");
   }
-  util::BitSliceAccumulator bits(dim);
-  for (std::size_t p = 0; p < pixels.size(); ++p) {
-    bits.add_xor(positions[p],
-                 values[value_level_index(value_levels, pixels[p])]);
+  if (pixels.size() >= (std::size_t{1} << 30)) {
+    throw std::invalid_argument("encode_pixels_packed: too many pixels");
   }
-  Accumulator acc(dim);
-  acc.add_bitsliced(bits);
-  return acc.bipolarize_packed(tie_break);
+  if (lanes != nullptr && lanes->dim() != dim) {
+    throw std::invalid_argument(
+        "encode_pixels_packed: accumulator dimension mismatch");
+  }
+  // One fused kernel pass: per pixel the bound HV pos (*) val is an XOR of
+  // packed rows, counted carry-save in registers, and Eq. 1 is applied in
+  // the same registers — no count bank in memory, no int32 lanes unless the
+  // caller asks for them.
+  std::vector<const std::uint64_t*> value_rows(pixels.size());
+  for (std::size_t p = 0; p < pixels.size(); ++p) {
+    value_rows[p] = values[value_level_index(value_levels, pixels[p])].data();
+  }
+  std::vector<std::uint64_t> out(util::words_for_bits(dim));
+  util::simd::kernels().bundle_bound(
+      positions.words().data(), positions.words_per_entry(), value_rows.data(),
+      pixels.size(), dim, tie_break.words().data(), out.data(),
+      lanes == nullptr ? nullptr : lanes->mutable_lanes().data());
+  return PackedHv::from_words(dim, std::move(out));
 }
 
 Hypervector PixelEncoder::pixel_hv(std::size_t position,
@@ -98,21 +112,15 @@ Hypervector PixelEncoder::pixel_hv(std::size_t position,
               value_memory_.at(value_index(value)));
 }
 
-void PixelEncoder::encode_into(const data::Image& image,
-                               Accumulator& acc) const {
+PackedHv PixelEncoder::encode_into(const data::Image& image,
+                                   Accumulator& acc) const {
   check_shape(image);
   if (acc.dim() != config_.dim) {
     throw std::invalid_argument("PixelEncoder::encode_into: accumulator dim mismatch");
   }
-  // Bit-sliced bundling: each pixel HV is one XOR of packed codebook rows,
-  // counted carry-save and drained into the int32 lanes once. Exact integer
-  // arithmetic — same sums as per-element add_bound in any order.
-  util::BitSliceAccumulator bits(config_.dim);
-  const auto pixels = image.pixels();
-  for (std::size_t p = 0; p < pixels.size(); ++p) {
-    bits.add_xor(packed_positions_[p], packed_values_[value_index(pixels[p])]);
-  }
-  acc.add_bitsliced(bits);
+  return encode_pixels_packed(packed_positions_, packed_values_,
+                              config_.value_levels, tie_break_packed_, image,
+                              &acc);
 }
 
 Hypervector PixelEncoder::encode(const data::Image& image) const {
@@ -173,7 +181,7 @@ void IncrementalPixelEncoder::rebuild_base_slices() const {
   //
   // Lane values live in [-P, P] (P = pixel count). With bias B =
   // bit_ceil(2P) every stored value s = lane + B is non-negative, and after
-  // any in-budget patch (pairs <= P/8, each adding 2*o_bit + 2*inv_n_bit <=
+  // any in-budget patch (pairs <= P/20, each adding 2*o_bit + 2*inv_n_bit <=
   // 4 per lane) stays below 2B, so S = log2(B) + 1 slices always suffice —
   // no carry is ever lost.
   const std::size_t n = encoder_->dim();
@@ -249,12 +257,19 @@ HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
   collect_patches(mutant);
 
   // Dense mutations (e.g. gauss noise rewrites nearly every pixel) are past
-  // the point where patching pays: a fresh bit-sliced full encode costs
+  // the point where patching pays: the fused full encode costs
   // O(W*H * D/64) words against the patch path's O(pairs * D) bits. Both
   // compute the exact same integer sums, so the crossover is pure routing —
   // and it keeps the slice arithmetic below within its bias headroom.
+  // Measured crossover (bench/encoding_gbench, BM_IncrementalEncodePacked
+  // vs BM_FullEncodePacked, 28x28 digits, AVX-512, medians of 3): full
+  // encode 7.7 us at D=4096 and 55.6 us at D=16384; the delta path 7.2 /
+  // 11.4 us at 33 / 64 changed pixels (D=4096) and 42.4 / 72.6 us
+  // (D=16384), so they cross at ~36 and ~44 of 784 pixels. Routing above
+  // W*H/20 (39 of 784) keeps campaign-rand's ~33-pixel deltas on the patch
+  // path.
   const std::size_t pixels = base_.pixels().size();
-  if (patches_.size() * 8 > pixels) {
+  if (patches_.size() * 20 > pixels) {
     return encoder_->encode_packed(mutant);
   }
 

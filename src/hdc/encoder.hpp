@@ -7,13 +7,16 @@
 ///   2. per pixel, bind the position HV with the gray-level value HV;
 ///   3. bundle (sum) all pixel HVs and re-bipolarize with Eq. 1.
 ///
-/// PixelEncoder implements exactly that, running step 2+3 through a
-/// bit-sliced kernel: the position/value codebooks are mirrored into packed
-/// sign-bit words at construction (PackedItemMemory), each pixel HV is one
-/// XOR of packed words, and bundling is carry-save counting
-/// (util::BitSliceAccumulator) instead of D int8 multiply-adds — the
-/// dense-binary rematerialization trick (Schmuck et al., JETC'19) applied to
-/// the encoding side. Results are bit-exact with per-element accumulation.
+/// PixelEncoder implements exactly that in one fused kernel pass
+/// (util::simd::Kernels::bundle_bound): the position/value codebooks are
+/// mirrored into packed sign-bit words at construction (PackedItemMemory),
+/// each pixel HV is one XOR of packed words, bundling is Harley–Seal
+/// carry-save counting held in vector registers, and Eq. 1 is an MSB-down
+/// compare of each lane's count against half the pixel count in the same
+/// registers — no int32 lanes unless the caller asks for them, instead of
+/// D int8 multiply-adds per pixel (binarized bundling with counters and a
+/// threshold, Schmuck et al., JETC'19). Results are bit-exact with
+/// per-element accumulation.
 ///
 /// IncrementalPixelEncoder exploits bundling's linearity to re-encode a
 /// mutated image in time proportional to the number of changed pixels — a
@@ -60,21 +63,21 @@ namespace hdtest::hdc {
     const ModelConfig& config) noexcept;
 [[nodiscard]] std::uint64_t tie_break_seed(const ModelConfig& config) noexcept;
 
-/// The full bit-sliced image encode over explicit packed codebooks: bundle
-/// position^value for every pixel (carry-save counting) and apply the fused
-/// Eq. 1 + pack. This is the kernel behind PixelEncoder::encode_packed, and
-/// hdc::MappedModel calls it directly with codebook *views* over a mapped
-/// model file (or codebooks regenerated at map time when the file carries
-/// no mirrors) — the whole encode touches no dense Hypervector and no
-/// PackedHv::from_dense.
+/// The full image encode over explicit packed codebooks: bundle
+/// position^value for every pixel and apply Eq. 1, in one bundle_bound
+/// kernel pass. This is the kernel behind PixelEncoder::encode_packed and
+/// encode_into, and hdc::MappedModel calls it directly with codebook
+/// *views* over a mapped model file (or codebooks regenerated at map time
+/// when the file carries no mirrors) — the whole encode touches no dense
+/// Hypervector and no PackedHv::from_dense. When \p lanes is non-null the
+/// same pass also adds the image's int32 bundle sums into it.
 /// \throws std::invalid_argument when the image's pixel count mismatches
-/// \p positions or the codebook shapes disagree.
+/// \p positions (or reaches 2^30), the codebook shapes disagree, or
+/// \p lanes has another dimension.
 HDTEST_HOT_PATH [[nodiscard]] PackedHv encode_pixels_packed(
-    const PackedItemMemory& positions,
-                                            const PackedItemMemory& values,
-                                            std::size_t value_levels,
-                                            const PackedHv& tie_break,
-                                            const data::Image& image);
+    const PackedItemMemory& positions, const PackedItemMemory& values,
+    std::size_t value_levels, const PackedHv& tie_break,
+    const data::Image& image, Accumulator* lanes = nullptr);
 
 /// Encodes fixed-size grayscale images into hypervectors.
 ///
@@ -95,15 +98,18 @@ class PixelEncoder {
   /// \throws std::invalid_argument when the image shape mismatches.
   [[nodiscard]] Hypervector encode(const data::Image& image) const;
 
-  /// Full encode returning a packed query HV directly — the bit-sliced
-  /// accumulation plus the fused Eq. 1 packing, no dense intermediate.
+  /// Full encode returning a packed query HV directly — the fused
+  /// bundle_bound kernel, no lanes and no dense intermediate.
   /// Bit-exact: encode_packed(img) == PackedHv::from_dense(encode(img)).
   HDTEST_HOT_PATH [[nodiscard]] PackedHv encode_packed(
       const data::Image& image) const;
 
-  /// Encodes into a caller-provided accumulator (no bipolarization); used by
-  /// training, which bundles many images before a single bipolarize.
-  void encode_into(const data::Image& image, Accumulator& acc) const;
+  /// Adds the image's bundle sums into a caller-provided accumulator (the
+  /// delta re-encoder's base, the fuzzer's seed warm-up) and returns the
+  /// image's own packed query HV, encode_packed(image), from the same
+  /// kernel pass. \throws std::invalid_argument on a shape or accumulator
+  /// dimension mismatch.
+  PackedHv encode_into(const data::Image& image, Accumulator& acc) const;
 
   /// Encodes a batch in parallel over \p workers threads (util::parallel_for;
   /// each index is an independent deterministic function of its image, so

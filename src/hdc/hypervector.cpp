@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "hdc/packed_hv.hpp"
-#include "util/simd/kernels.hpp"
 
 namespace hdtest::hdc {
 
@@ -204,11 +203,6 @@ void Accumulator::add_packed(std::span<const std::uint64_t> v, int weight) {
   }
 }
 
-void Accumulator::add_bitsliced(const util::BitSliceAccumulator& bits) {
-  check_same_dim(dim(), bits.bits(), "Accumulator::add_bitsliced");
-  bits.drain_into(lanes_);
-}
-
 void Accumulator::clear() noexcept {
   for (auto& lane : lanes_) lane = 0;
 }
@@ -237,15 +231,16 @@ Hypervector Accumulator::bipolarize(const Hypervector& tie_break) const {
 
 PackedHv Accumulator::bipolarize_packed(const PackedHv& tie_break) const {
   check_same_dim(dim(), tie_break.dim(), "Accumulator::bipolarize_packed");
-  // Eq. 1 sign extraction straight into packed words — bit = 1 (element -1)
-  // when the lane is negative, or zero with a negative tie-break element —
-  // via the active kernel backend (branch-free SWAR, AVX2 movemask, or
-  // AVX-512 compare masks; all bit-identical with the scalar oracle).
+  // Eq. 1 sign extraction straight into packed words: bit = 1 (element -1)
+  // when the lane is negative, or zero with a negative tie-break element.
   const std::size_t n = lanes_.size();
+  const auto ties = tie_break.words();
   std::vector<std::uint64_t> words(util::words_for_bits(n), 0);
-  util::simd::kernels().bipolarize_packed(lanes_.data(), n,
-                                          tie_break.words().data(),
-                                          words.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t tie = (ties[i / 64] >> (i % 64)) & 1u;
+    const std::uint64_t bit = lanes_[i] < 0 ? 1 : (lanes_[i] == 0 ? tie : 0);
+    words[i / 64] |= bit << (i % 64);
+  }
   return PackedHv::from_words(n, std::move(words));
 }
 

@@ -144,10 +144,6 @@ class Accumulator {
   /// \pre v holds util::words_for_bits(dim()) words.
   void add_packed(std::span<const std::uint64_t> v, int weight = 1);
 
-  /// Drains a bit-sliced pixel bundle into the lanes (exact integer sums;
-  /// see util::BitSliceAccumulator). \pre bits.bits() == dim().
-  void add_bitsliced(const util::BitSliceAccumulator& bits);
-
   /// Resets all lanes to zero.
   void clear() noexcept;
 
@@ -157,6 +153,12 @@ class Accumulator {
   }
   [[nodiscard]] std::int32_t lane(std::size_t i) const { return lanes_.at(i); }
 
+  /// Mutable lane view for kernels that add into the lanes in place (the
+  /// fused full-image bundle, see hdc::encode_pixels_packed).
+  [[nodiscard]] std::span<std::int32_t> mutable_lanes() noexcept {
+    return lanes_;
+  }
+
   /// Merges another accumulator (lane-wise sum). \pre equal dims.
   void merge(const Accumulator& other);
 
@@ -165,8 +167,8 @@ class Accumulator {
   [[nodiscard]] Hypervector bipolarize(const Hypervector& tie_break) const;
 
   /// Fused Eq. 1 + sign-bit packing: extracts each lane's sign directly into
-  /// packed words (branch-free SWAR over the int32 lanes), skipping the
-  /// dense int8 intermediate entirely. Bit-exact with the dense path:
+  /// packed words, skipping the dense int8 intermediate entirely. Bit-exact
+  /// with the dense path:
   ///   bipolarize_packed(packed_tb) == PackedHv::from_dense(bipolarize(tb)).
   /// \pre tie_break.dim() == dim().
   [[nodiscard]] PackedHv bipolarize_packed(const PackedHv& tie_break) const;

@@ -16,6 +16,7 @@
 
 #include "hdc/config.hpp"
 #include "hdc/hypervector.hpp"
+#include "util/aligned_allocator.hpp"
 #include "util/rng.hpp"
 
 namespace hdtest::hdc {
@@ -136,7 +137,10 @@ class PackedItemMemory {
   std::size_t count_ = 0;
   std::size_t stride_ = 0;
   const std::uint64_t* data_ = nullptr;  ///< storage_ or an external view
-  std::vector<std::uint64_t> storage_;   ///< count_ x stride_ when owning
+  /// count_ x stride_ when owning, on a cache-line boundary like a mapped
+  /// section, so rows of whole cache lines stream one line per vector load.
+  std::vector<std::uint64_t, util::AlignedAllocator<std::uint64_t, 64>>
+      storage_;
 };
 
 }  // namespace hdtest::hdc

@@ -626,20 +626,40 @@ HdcClassifier load_v3_buffer(std::span<const std::byte> file) {
   } catch (const std::invalid_argument& error) {
     throw std::runtime_error(std::string("load_model: ") + error.what());
   }
-  if (parsed.remat) {
-    // The rebuilt encoder regenerates its codebooks from the stored seed;
-    // prove that regeneration reproduces what the saving process encoded
-    // with before handing the model out — a wrong-seed or cross-version
-    // file must fail loudly here, not mispredict quietly.
-    const auto& encoder = model.encoder();
-    if (encoder.packed_position_memory().content_digest() !=
-            parsed.position_digest ||
-        encoder.packed_value_memory().content_digest() !=
-            parsed.value_digest) {
-      throw std::runtime_error(
-          "load_model: codebook digest mismatch (seed cannot regenerate the "
-          "saved codebooks)");
-    }
+  // The rebuilt encoder regenerates its codebooks from the stored seed;
+  // prove that regeneration reproduces what the saving process encoded
+  // with before handing the model out — a wrong-seed or cross-version
+  // file must fail loudly here, not mispredict quietly. A remat file
+  // vouches for its omitted codebooks with digests. Every codebook section
+  // a file does carry is what MappedModel encodes through, so it must equal
+  // the regenerated rows word for word: a file whose mirrors were edited
+  // (checksums refreshed) would otherwise load under both loaders and
+  // encode differently in each.
+  const auto& encoder = model.encoder();
+  if (parsed.remat &&
+      (encoder.packed_position_memory().content_digest() !=
+           parsed.position_digest ||
+       encoder.packed_value_memory().content_digest() !=
+           parsed.value_digest)) {
+    throw std::runtime_error(
+        "load_model: codebook digest mismatch (seed cannot regenerate the "
+        "saved codebooks)");
+  }
+  const auto same_words = [](std::span<const std::byte> section,
+                             std::span<const std::uint64_t> words) {
+    // parse_v3 sized every present section exactly; the host is
+    // little-endian (require_little_endian), so the section bytes are the
+    // words' own bytes.
+    return section.empty() ||
+           (section.size() == words.size_bytes() &&
+            std::memcmp(section.data(), words.data(), section.size()) == 0);
+  };
+  if (!same_words(parsed.positions, encoder.packed_position_memory().words()) ||
+      !same_words(parsed.values, encoder.packed_value_memory().words()) ||
+      !same_words(parsed.tie_break, encoder.tie_break_packed().words())) {
+    throw std::runtime_error(
+        "load_model: stored codebook or tie-break section differs from the "
+        "rows the model seed regenerates");
   }
   return model;
 }

@@ -94,7 +94,12 @@ void save_model(const HdcClassifier& model, const std::string& path,
 /// ready for prediction and further retraining; the packed snapshot is
 /// restored verbatim (zero rebuilds), while the encoder's codebooks
 /// regenerate from the stored seed (use MappedModel to avoid that too).
-/// \throws std::runtime_error on malformed input or any version but v3.
+/// Every position-codebook, value-codebook and tie-break section the file
+/// carries must equal those regenerated rows word for word (a remat file's
+/// omitted codebooks are checked against its digests instead), so a model
+/// loaded here encodes exactly as a MappedModel of the same file does.
+/// \throws std::runtime_error on malformed input, any version but v3, or a
+/// codebook/tie-break section the seed does not reproduce.
 [[nodiscard]] HdcClassifier load_model(std::istream& in);
 
 /// Reads a model from a file.
@@ -110,6 +115,11 @@ struct MapOptions {
   /// stored-layout file (structural validation — header, section table,
   /// config, shapes, padding bits — always runs either way). A remat file
   /// regenerates its omitted codebooks at map time whatever this says.
+  /// Even a verified map trusts the checksummed codebook and tie-break
+  /// sections a file carries: it serves them in place and never compares
+  /// them against the seed (that would cost a regeneration sweep and end
+  /// the O(1) map). load_model does compare them, so a file whose sections
+  /// were edited with refreshed checksums is rejected there, not here.
   bool verify_checksum = true;
 };
 

@@ -3,12 +3,13 @@
 /// The kernel table: the one dispatch layer for the packed hot paths.
 ///
 /// Every steady-state cycle of the fuzz loop (mutate -> encode -> AM
-/// distance, paper Alg. 1) burns inside six word-parallel kernels: XOR +
-/// popcount, the Harley–Seal CSA bundling ladder, the delta re-encoder's
-/// patch pass, the two Eq. 1 bipolarize forms, and the query-blocked
-/// associative-memory sweep. These map directly onto wide vector lanes
-/// (Schmuck et al., JETC'19), so each kernel is provided by several
-/// backends behind one function-pointer table:
+/// distance, paper Alg. 1) burns inside five word-parallel kernels: XOR +
+/// popcount, the fused full-image bundle (register-resident Harley–Seal
+/// counting plus Eq. 1), the delta re-encoder's patch pass, Eq. 1 over its
+/// bit-sliced lanes, and the query-blocked associative-memory sweep. These
+/// map directly onto wide vector lanes (Schmuck et al., JETC'19), so each
+/// kernel is provided by several backends behind one function-pointer
+/// table:
 ///
 ///   avx512  512-bit lanes with native VPOPCNTDQ popcounts (requires
 ///           AVX-512F + VPOPCNTDQ).
@@ -22,14 +23,14 @@
 ///           the executable specification every backend must match
 ///           bit-for-bit. Always available, never auto-selected.
 ///
-/// Callers (the encoders, PackedAssocMemory, BitSliceAccumulator, MappedModel
-/// serving) call kernels() and invoke the table directly. One backend is
-/// selected at startup: explicitly via the HDTEST_KERNEL_BACKEND environment
-/// variable ("avx512" / "avx2" / "neon" / "swar" / "oracle"; unknown or
-/// unsupported values warn and fall back), otherwise the best backend the
-/// CPU supports (detected via CPUID + XGETBV so AVX state must actually be
-/// OS-enabled). All backends produce identical bits for identical inputs —
-/// the property tests diff every available backend against oracle.
+/// Callers (the encoders, PackedAssocMemory, MappedModel serving) call
+/// kernels() and invoke the table directly. One backend is selected at
+/// startup: explicitly via the HDTEST_KERNEL_BACKEND environment variable
+/// ("avx512" / "avx2" / "neon" / "swar" / "oracle"; unknown or unsupported
+/// values warn and fall back), otherwise the best backend the CPU supports
+/// (detected via CPUID + XGETBV so AVX state must actually be OS-enabled).
+/// All backends produce identical bits for identical inputs — the property
+/// tests diff every available backend against oracle.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,17 +50,24 @@ struct Kernels {
   std::size_t (*xor_popcount)(const std::uint64_t* a, const std::uint64_t* b,
                               std::size_t words) noexcept;
 
-  /// Ripple-carry adds one packed vector into a level-major bit-slice bank
-  /// (\p levels x \p words; the Harley–Seal CSA bundling ladder). The input
-  /// vector is a[w] when \p b is null, a[w] ^ b[w] otherwise (the bound
-  /// pixel HV, XORed in-register). \pre carry_out[0..words) is all-zero:
-  /// the kernel writes only words whose carry escaped the top level (so the
-  /// common no-escape path costs no extra stores) and returns true when any
-  /// did, letting the caller grow the ladder by one level and re-zero the
-  /// touched buffer.
-  bool (*csa_add)(std::uint64_t* slices, std::size_t words, std::size_t levels,
-                  const std::uint64_t* a, const std::uint64_t* b,
-                  std::uint64_t* carry_out) noexcept;
+  /// The full-image bundling kernel (paper Sec. III-A, steps 2-3): binds
+  /// pixel p's position row positions[p * stride ..] with its value row
+  /// value_rows[p] (XOR of sign bits), counts per lane i < \p bits
+  ///   cnt_i = #{p < count : bit i of that bound vector is set}
+  /// and applies Eq. 1 to the bundle sum count - 2*cnt_i:
+  ///   out_packed bit i = 1 (element -1) iff 2*cnt_i > count, or
+  ///   2*cnt_i == count (count even) with a set tie_break bit.
+  /// Writes words_for_bits(bits) words; bits past \p bits are zero. When
+  /// \p out_lanes is non-null it also adds count - 2*cnt_i into
+  /// out_lanes[i] for every i < bits (the int32 bundle Accumulator).
+  /// \pre stride >= words_for_bits(bits), every row holds that many
+  /// words, and count < 2^30.
+  void (*bundle_bound)(const std::uint64_t* positions, std::size_t stride,
+                       const std::uint64_t* const* value_rows,
+                       std::size_t count, std::size_t bits,
+                       const std::uint64_t* tie_break,
+                       std::uint64_t* out_packed,
+                       std::int32_t* out_lanes) noexcept;
 
   /// The delta re-encoder's patch kernel: adds the one-pixel value swap
   /// old -> new at packed position row \p pos into a biased slice bank as
@@ -72,14 +80,6 @@ struct Kernels {
                     std::size_t levels, const std::uint64_t* pos,
                     const std::uint64_t* old_val,
                     const std::uint64_t* new_val) noexcept;
-
-  /// Fused Eq. 1 + sign-bit packing over int32 accumulator lanes:
-  ///   out bit i = 1 (element -1) iff lanes[i] < 0, or lanes[i] == 0 with a
-  ///   set tie-break bit.
-  /// Writes words_for_bits(n) words; tail bits past n are zero.
-  void (*bipolarize_packed)(const std::int32_t* lanes, std::size_t n,
-                            const std::uint64_t* tie_break,
-                            std::uint64_t* out) noexcept;
 
   /// Eq. 1 over a *bit-sliced biased* lane bank (the delta re-encoder's
   /// representation): per lane, compare the stored \p levels-bit count

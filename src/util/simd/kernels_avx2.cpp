@@ -74,39 +74,35 @@ std::size_t xor_popcount_avx2(const std::uint64_t* a, const std::uint64_t* b,
 
 using detail::ripple_from;
 
-bool csa_add_avx2(std::uint64_t* slices, std::size_t words, std::size_t levels,
-                  const std::uint64_t* a, const std::uint64_t* b,
-                  std::uint64_t* carry_out) noexcept {
-  __m256i esc = _mm256_setzero_si256();
-  std::uint64_t esc_scalar = 0;
-  std::size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    __m256i carry = loadu(a + w);
-    if (b != nullptr) carry = _mm256_xor_si256(carry, loadu(b + w));
-    for (std::size_t j = 0; j < levels; ++j) {
-      std::uint64_t* s = slices + j * words + w;
-      const __m256i sv = loadu(s);
-      const __m256i next = _mm256_and_si256(sv, carry);
-      storeu(s, _mm256_xor_si256(sv, carry));
-      carry = next;
-      if (_mm256_testz_si256(carry, carry)) break;
-    }
-    // carry is zero here unless it survived every level; carry_out is
-    // pre-zeroed by contract, so only escaped chunks pay a store.
-    if (!_mm256_testz_si256(carry, carry)) {
-      storeu(carry_out + w, carry);
-      esc = _mm256_or_si256(esc, carry);
-    }
+/// Bundle vector ops on 4 words (256 bits). No ternary-logic op: a CSA
+/// costs 5 (the majority shares the a ^ b of the sum).
+struct Avx2Ops {
+  using T = __m256i;
+  static constexpr std::size_t kWords = 4;
+  static T zero() noexcept { return _mm256_setzero_si256(); }
+  static T ones() noexcept { return _mm256_set1_epi64x(-1); }
+  static T load(const std::uint64_t* p) noexcept { return loadu(p); }
+  static void store(std::uint64_t* p, T v) noexcept { storeu(p, v); }
+  static T bxor(T a, T b) noexcept { return _mm256_xor_si256(a, b); }
+  static T band(T a, T b) noexcept { return _mm256_and_si256(a, b); }
+  static T bor(T a, T b) noexcept { return _mm256_or_si256(a, b); }
+  static T andnot(T a, T b) noexcept { return _mm256_andnot_si256(a, b); }
+  static T xor3(T a, T b, T c) noexcept { return bxor(bxor(a, b), c); }
+  static T maj(T a, T b, T c) noexcept {
+    return bor(band(a, b), band(c, bxor(a, b)));
   }
-  for (; w < words; ++w) {
-    const std::uint64_t v = b != nullptr ? (a[w] ^ b[w]) : a[w];
-    const std::uint64_t carry = ripple_from(slices, words, levels, w, v, 0);
-    if (carry != 0) {
-      carry_out[w] = carry;
-      esc_scalar |= carry;
-    }
-  }
-  return esc_scalar != 0 || !_mm256_testz_si256(esc, esc);
+  static constexpr auto add_counts = detail::WordOps::add_counts;
+};
+
+void bundle_bound_avx2(const std::uint64_t* positions, std::size_t stride,
+                       const std::uint64_t* const* value_rows,
+                       std::size_t count, std::size_t bits,
+                       const std::uint64_t* tie_break,
+                       std::uint64_t* out_packed,
+                       std::int32_t* out_lanes) noexcept {
+  detail::bundle_bound_generic<Avx2Ops>(positions, stride, value_rows,
+                                        count, bits, tie_break, out_packed,
+                                        out_lanes);
 }
 
 void csa_patch_avx2(std::uint64_t* slices, std::size_t words,
@@ -139,43 +135,6 @@ void csa_patch_avx2(std::uint64_t* slices, std::size_t words,
     const std::uint64_t new_inv = ~(pos[w] ^ new_val[w]);
     (void)ripple_from(slices, words, levels, w, old_bound ^ new_inv, 1);
     (void)ripple_from(slices, words, levels, w, old_bound & new_inv, 2);
-  }
-}
-
-/// Sign/zero masks of 8 int32 lanes as an 8-bit group via movemask.
-void bipolarize_packed_avx2(const std::int32_t* lanes, std::size_t n,
-                            const std::uint64_t* tie_break,
-                            std::uint64_t* out) noexcept {
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t w = 0;
-  std::size_t base = 0;
-  for (; base + 64 <= n; ++w, base += 64) {
-    std::uint64_t neg = 0;
-    std::uint64_t zr = 0;
-    for (std::size_t g = 0; g < 64; g += 8) {
-      const __m256i v = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(lanes + base + g));
-      const auto nm = static_cast<std::uint32_t>(
-          _mm256_movemask_ps(_mm256_castsi256_ps(v)));
-      const auto zm = static_cast<std::uint32_t>(_mm256_movemask_ps(
-          _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, zero))));
-      neg |= static_cast<std::uint64_t>(nm) << g;
-      zr |= static_cast<std::uint64_t>(zm) << g;
-    }
-    out[w] = neg | (zr & tie_break[w]);
-  }
-  if (base < n) {
-    const std::size_t chunk = n - base;
-    const std::uint64_t tb_word = tie_break[w];
-    std::uint64_t bits = 0;
-    for (std::size_t i = 0; i < chunk; ++i) {
-      const auto lane = static_cast<std::uint32_t>(lanes[base + i]);
-      const std::uint64_t is_neg = lane >> 31;
-      const std::uint64_t nonzero = (lane | (0u - lane)) >> 31;
-      const std::uint64_t tb_bit = (tb_word >> i) & 1ULL;
-      bits |= (is_neg | ((nonzero ^ 1ULL) & tb_bit)) << i;
-    }
-    out[w] = bits;
   }
 }
 
@@ -226,8 +185,12 @@ void am_sweep_avx2(const std::uint64_t* am, std::size_t classes,
 }
 
 constexpr Kernels kAvx2Kernels{
-    "avx2",          xor_popcount_avx2,     csa_add_avx2, csa_patch_avx2,
-    bipolarize_packed_avx2, slice_bipolarize_avx2, am_sweep_avx2,
+    "avx2",
+    xor_popcount_avx2,
+    bundle_bound_avx2,
+    csa_patch_avx2,
+    slice_bipolarize_avx2,
+    am_sweep_avx2,
 };
 
 }  // namespace

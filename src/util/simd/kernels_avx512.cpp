@@ -1,7 +1,8 @@
 /// \file kernels_avx512.cpp
 /// AVX-512 backend: 512-bit lanes (8 packed words per op) with native
-/// per-qword popcounts (VPOPCNTDQ) and direct mask-register compares for
-/// the Eq. 1 sign extraction. Requires AVX-512F + VPOPCNTDQ at runtime;
+/// per-qword popcounts (VPOPCNTDQ), vpternlog carry-save adders, and
+/// mask-register lane adds for the bundle kernel's int32 output. Requires
+/// AVX-512F + VPOPCNTDQ at runtime;
 /// compiled with the matching -mavx512* flags when available (see
 /// src/CMakeLists.txt) and degrades to a nullptr stub otherwise.
 
@@ -46,39 +47,65 @@ std::size_t xor_popcount_avx512(const std::uint64_t* a, const std::uint64_t* b,
 
 using detail::ripple_from;
 
-bool csa_add_avx512(std::uint64_t* slices, std::size_t words,
-                    std::size_t levels, const std::uint64_t* a,
-                    const std::uint64_t* b,
-                    std::uint64_t* carry_out) noexcept {
-  __m512i esc = _mm512_setzero_si512();
-  std::uint64_t esc_scalar = 0;
-  std::size_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    __m512i carry = loadu(a + w);
-    if (b != nullptr) carry = _mm512_xor_si512(carry, loadu(b + w));
-    for (std::size_t j = 0; j < levels; ++j) {
-      std::uint64_t* s = slices + j * words + w;
-      const __m512i sv = loadu(s);
-      const __m512i next = _mm512_and_si512(sv, carry);
-      storeu(s, _mm512_xor_si512(sv, carry));
-      carry = next;
-      if (_mm512_test_epi64_mask(carry, carry) == 0) break;
-    }
-    // carry_out is pre-zeroed by contract: only escaped chunks pay a store.
-    if (_mm512_test_epi64_mask(carry, carry) != 0) {
-      storeu(carry_out + w, carry);
-      esc = _mm512_or_si512(esc, carry);
+/// Bundle vector ops on 8 words (512 bits). vpternlog makes the sum
+/// (0x96: a ^ b ^ c) and the majority (0xe8) one op each, so a CSA is 2.
+struct Avx512Ops {
+  using T = __m512i;
+  static constexpr std::size_t kWords = 8;
+  static T zero() noexcept { return _mm512_setzero_si512(); }
+  static T ones() noexcept { return _mm512_set1_epi64(-1); }
+  static T load(const std::uint64_t* p) noexcept { return loadu(p); }
+  static void store(std::uint64_t* p, T v) noexcept { storeu(p, v); }
+  static T bxor(T a, T b) noexcept { return _mm512_xor_si512(a, b); }
+  static T band(T a, T b) noexcept { return _mm512_and_si512(a, b); }
+  static T bor(T a, T b) noexcept { return _mm512_or_si512(a, b); }
+  static T andnot(T a, T b) noexcept { return _mm512_andnot_si512(a, b); }
+  static T xor3(T a, T b, T c) noexcept {
+    return _mm512_ternarylogic_epi64(a, b, c, 0x96);
+  }
+  static T maj(T a, T b, T c) noexcept {
+    return _mm512_ternarylogic_epi64(a, b, c, 0xe8);
+  }
+
+  /// Lane drain with masked adds: each 16-lane group gets +count, then
+  /// -2^(j+1) under its 16 mask bits of count slice j.
+  static void add_counts(const std::uint64_t* slab, std::size_t slab_stride,
+                         std::size_t levels, std::size_t count,
+                         std::int32_t* lanes, std::size_t lanes_used) noexcept {
+    const __m512i bundle =
+        _mm512_set1_epi32(static_cast<std::int32_t>(count));
+    for (std::size_t g = 0; g * 16 < lanes_used; ++g) {
+      const std::size_t left = lanes_used - g * 16;
+      const auto valid =
+          static_cast<__mmask16>(left >= 16 ? 0xffffu : (1u << left) - 1u);
+      std::int32_t* group = lanes + g * 16;
+      __m512i acc = _mm512_maskz_loadu_epi32(valid, group);
+      acc = _mm512_add_epi32(acc, bundle);
+      const std::uint64_t* word = slab + g / 4;
+      const std::size_t shift = (g % 4) * 16;
+      for (std::size_t j = 0; j < levels; ++j) {
+        const auto set =
+            static_cast<__mmask16>(word[j * slab_stride] >> shift);
+        acc = _mm512_mask_sub_epi32(
+            acc, set, acc,
+            _mm512_set1_epi32(static_cast<std::int32_t>(2u << j)));
+      }
+      _mm512_mask_storeu_epi32(group, valid, acc);
     }
   }
-  for (; w < words; ++w) {
-    const std::uint64_t v = b != nullptr ? (a[w] ^ b[w]) : a[w];
-    const std::uint64_t carry = ripple_from(slices, words, levels, w, v, 0);
-    if (carry != 0) {
-      carry_out[w] = carry;
-      esc_scalar |= carry;
-    }
-  }
-  return esc_scalar != 0 || _mm512_test_epi64_mask(esc, esc) != 0;
+};
+
+/// Two zmm trees (16 words, two adjacent cache lines of a row) per pass over
+/// the pixel rows, one zmm for an 8-word remainder, SWAR for the rest.
+void bundle_bound_avx512(const std::uint64_t* positions, std::size_t stride,
+                         const std::uint64_t* const* value_rows,
+                         std::size_t count, std::size_t bits,
+                         const std::uint64_t* tie_break,
+                         std::uint64_t* out_packed,
+                         std::int32_t* out_lanes) noexcept {
+  detail::bundle_bound_generic<detail::Unrolled<Avx512Ops, 2>, Avx512Ops>(
+      positions, stride, value_rows, count, bits, tie_break, out_packed,
+      out_lanes);
 }
 
 void csa_patch_avx512(std::uint64_t* slices, std::size_t words,
@@ -111,38 +138,6 @@ void csa_patch_avx512(std::uint64_t* slices, std::size_t words,
     const std::uint64_t new_inv = ~(pos[w] ^ new_val[w]);
     (void)ripple_from(slices, words, levels, w, old_bound ^ new_inv, 1);
     (void)ripple_from(slices, words, levels, w, old_bound & new_inv, 2);
-  }
-}
-
-/// 16 int32 lanes per compare, sign/zero masks straight from mask registers.
-void bipolarize_packed_avx512(const std::int32_t* lanes, std::size_t n,
-                              const std::uint64_t* tie_break,
-                              std::uint64_t* out) noexcept {
-  const __m512i zero = _mm512_setzero_si512();
-  std::size_t w = 0;
-  std::size_t base = 0;
-  for (; base + 64 <= n; ++w, base += 64) {
-    std::uint64_t neg = 0;
-    std::uint64_t zr = 0;
-    for (std::size_t g = 0; g < 64; g += 16) {
-      const __m512i v = _mm512_loadu_si512(lanes + base + g);
-      neg |= static_cast<std::uint64_t>(_mm512_cmplt_epi32_mask(v, zero)) << g;
-      zr |= static_cast<std::uint64_t>(_mm512_cmpeq_epi32_mask(v, zero)) << g;
-    }
-    out[w] = neg | (zr & tie_break[w]);
-  }
-  if (base < n) {
-    const std::size_t chunk = n - base;
-    const std::uint64_t tb_word = tie_break[w];
-    std::uint64_t bits = 0;
-    for (std::size_t i = 0; i < chunk; ++i) {
-      const auto lane = static_cast<std::uint32_t>(lanes[base + i]);
-      const std::uint64_t is_neg = lane >> 31;
-      const std::uint64_t nonzero = (lane | (0u - lane)) >> 31;
-      const std::uint64_t tb_bit = (tb_word >> i) & 1ULL;
-      bits |= (is_neg | ((nonzero ^ 1ULL) & tb_bit)) << i;
-    }
-    out[w] = bits;
   }
 }
 
@@ -193,8 +188,12 @@ void am_sweep_avx512(const std::uint64_t* am, std::size_t classes,
 }
 
 constexpr Kernels kAvx512Kernels{
-    "avx512",          xor_popcount_avx512,     csa_add_avx512, csa_patch_avx512,
-    bipolarize_packed_avx512, slice_bipolarize_avx512, am_sweep_avx512,
+    "avx512",
+    xor_popcount_avx512,
+    bundle_bound_avx512,
+    csa_patch_avx512,
+    slice_bipolarize_avx512,
+    am_sweep_avx512,
 };
 
 }  // namespace

@@ -22,10 +22,10 @@ namespace hdtest::util::simd {
 namespace {
 
 /// Weight-1 ripple-carry add of \p bits into a level-major slice bank,
-/// starting at \p slice and stepping \p jump words per level. Returns the
-/// carry escaping the topmost of the \p levels levels (0 when absorbed).
-std::uint64_t ripple_word(std::uint64_t* slice, std::size_t levels,
-                          std::size_t jump, std::uint64_t bits) noexcept {
+/// starting at \p slice and stepping \p jump words per level; a carry
+/// escaping the topmost of the \p levels levels is dropped.
+void ripple_word(std::uint64_t* slice, std::size_t levels, std::size_t jump,
+                 std::uint64_t bits) noexcept {
   std::uint64_t carry = bits;
   for (std::size_t j = 0; j < levels && carry != 0; ++j) {
     const std::uint64_t prior = *slice;
@@ -33,7 +33,6 @@ std::uint64_t ripple_word(std::uint64_t* slice, std::size_t levels,
     carry = prior & carry;
     slice += jump;
   }
-  return carry;
 }
 
 std::size_t xor_popcount_oracle(const std::uint64_t* a, const std::uint64_t* b,
@@ -45,19 +44,42 @@ std::size_t xor_popcount_oracle(const std::uint64_t* a, const std::uint64_t* b,
   return h;
 }
 
-bool csa_add_oracle(std::uint64_t* slices, std::size_t words,
-                    std::size_t levels, const std::uint64_t* a,
-                    const std::uint64_t* b, std::uint64_t* carry_out) noexcept {
-  bool escaped = false;
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t bits = b == nullptr ? a[w] : a[w] ^ b[w];
-    const std::uint64_t carry = ripple_word(slices + w, levels, words, bits);
-    if (carry != 0) {
-      carry_out[w] = carry;
-      escaped = true;
+void bundle_bound_oracle(const std::uint64_t* positions, std::size_t stride,
+                         const std::uint64_t* const* values,
+                         std::size_t count, std::size_t bits,
+                         const std::uint64_t* tie_break,
+                         std::uint64_t* out_packed,
+                         std::int32_t* out_lanes) noexcept {
+  // Straight per-lane count: each lane's bundle sum is +1 per pixel whose
+  // bound bit (position bit ^ value bit) is clear and -1 per set one; Eq. 1
+  // then takes the sign, with the tie-break bit deciding a zero sum.
+  // values[p] is pixel p's value row (value_rows in kernels.hpp).
+  std::size_t lane = 0;
+  for (std::size_t w = 0; lane < bits; ++w) {
+    std::int32_t sums[64] = {};
+    const std::uint64_t* position = positions;
+    for (std::size_t p = 0; p < count; ++p) {
+      const std::uint64_t bound = position[w] ^ values[p][w];
+      for (std::size_t b = 0; b < 64; ++b) {
+        sums[b] += 1 - 2 * static_cast<std::int32_t>((bound >> b) & 1u);
+      }
+      position += stride;
     }
+    std::uint64_t packed = 0;
+    for (std::size_t b = 0; b < 64 && lane < bits; ++b, ++lane) {
+      std::uint64_t bit = 0;
+      if (sums[b] < 0) {
+        bit = 1;
+      } else if (sums[b] == 0) {
+        bit = (tie_break[w] >> b) & 1u;
+      }
+      packed |= bit << b;
+      if (out_lanes != nullptr) {
+        out_lanes[lane] += sums[b];
+      }
+    }
+    out_packed[w] = packed;
   }
-  return escaped;
 }
 
 void csa_patch_oracle(std::uint64_t* slices, std::size_t words,
@@ -74,27 +96,6 @@ void csa_patch_oracle(std::uint64_t* slices, std::size_t words,
     std::uint64_t* lvl1 = slices + w + words;
     if (levels > 1) ripple_word(lvl1, levels - 1, words, u ^ v);
     if (levels > 2) ripple_word(lvl1 + words, levels - 2, words, u & v);
-  }
-}
-
-void bipolarize_packed_oracle(const std::int32_t* lanes, std::size_t n,
-                              const std::uint64_t* tie_break,
-                              std::uint64_t* out) noexcept {
-  std::size_t i = 0;
-  for (std::size_t w = 0; i < n; ++w) {
-    const std::uint64_t ties = tie_break[w];
-    std::uint64_t bits = 0;
-    for (std::size_t b = 0; b < 64 && i < n; ++b, ++i) {
-      const std::int32_t lane = lanes[i];
-      std::uint64_t bit = 0;
-      if (lane < 0) {
-        bit = 1;
-      } else if (lane == 0) {
-        bit = (ties >> b) & 1u;
-      }
-      bits |= bit << b;
-    }
-    out[w] = bits;
   }
 }
 
@@ -155,9 +156,8 @@ void am_sweep_oracle(const std::uint64_t* am, std::size_t classes,
 constexpr Kernels kOracleKernels{
     "oracle",
     xor_popcount_oracle,
-    csa_add_oracle,
+    bundle_bound_oracle,
     csa_patch_oracle,
-    bipolarize_packed_oracle,
     slice_bipolarize_oracle,
     am_sweep_oracle,
 };

@@ -2,10 +2,8 @@
 /// Portable SWAR backend — uint64 word parallelism only, no ISA extensions.
 /// Always compiled, always selectable; the fallback when the CPU offers no
 /// wider backend. Like every backend it is property-tested against the
-/// scalar oracle (kernels_oracle.cpp). The code is the former
-/// inline hot-path bodies of util::BitSliceAccumulator,
-/// Accumulator::bipolarize_packed, and the delta re-encoder, moved behind
-/// the kernel table verbatim.
+/// scalar oracle (kernels_oracle.cpp). The bundling kernel is the shared
+/// Harley–Seal skeleton (sweep_impl.hpp) on eight words per block.
 
 #include <bit>
 #include <cstddef>
@@ -29,45 +27,18 @@ std::size_t xor_popcount_swar(const std::uint64_t* a, const std::uint64_t* b,
 
 using detail::ripple_from;
 
-bool csa_add_swar(std::uint64_t* slices, std::size_t words, std::size_t levels,
-                  const std::uint64_t* a, const std::uint64_t* b,
-                  std::uint64_t* carry_out) noexcept {
-  std::uint64_t escaped = 0;
-  if (levels >= 3) {
-    // Branch-free prefix over the three always-open slices: a carry escapes
-    // them only once per 8 additions per lane, so the branchy tail stays off
-    // the hot path (per-level early exits mispredict ~50% of the time).
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t carry = b != nullptr ? (a[w] ^ b[w]) : a[w];
-      std::uint64_t* s = slices + w;
-      std::uint64_t next;
-      next = s[0] & carry;
-      s[0] ^= carry;
-      carry = next;
-      next = s[words] & carry;
-      s[words] ^= carry;
-      carry = next;
-      next = s[2 * words] & carry;
-      s[2 * words] ^= carry;
-      carry = next;
-      if (carry == 0) continue;
-      carry = ripple_from(slices, words, levels, w, carry, 3);
-      if (carry != 0) {
-        carry_out[w] = carry;
-        escaped |= carry;
-      }
-    }
-  } else {
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t v = b != nullptr ? (a[w] ^ b[w]) : a[w];
-      const std::uint64_t carry = ripple_from(slices, words, levels, w, v, 0);
-      if (carry != 0) {
-        carry_out[w] = carry;
-        escaped |= carry;
-      }
-    }
-  }
-  return escaped != 0;
+/// Eight words (one cache line of a 64-byte aligned row) per pass over the
+/// pixel rows; the compiler is free to run the eight trees in whatever
+/// vector registers the baseline ISA has.
+void bundle_bound_swar(const std::uint64_t* positions, std::size_t stride,
+                       const std::uint64_t* const* value_rows,
+                       std::size_t count, std::size_t bits,
+                       const std::uint64_t* tie_break,
+                       std::uint64_t* out_packed,
+                       std::int32_t* out_lanes) noexcept {
+  detail::bundle_bound_generic<detail::Unrolled<detail::WordOps, 8>>(
+      positions, stride, value_rows, count, bits, tie_break, out_packed,
+      out_lanes);
 }
 
 void csa_patch_swar(std::uint64_t* slices, std::size_t words,
@@ -81,27 +52,6 @@ void csa_patch_swar(std::uint64_t* slices, std::size_t words,
     // case ripples once, not twice. Bias headroom kills the carries.
     (void)ripple_from(slices, words, levels, w, old_bound ^ new_inv, 1);
     (void)ripple_from(slices, words, levels, w, old_bound & new_inv, 2);
-  }
-}
-
-void bipolarize_packed_swar(const std::int32_t* lanes, std::size_t n,
-                            const std::uint64_t* tie_break,
-                            std::uint64_t* out) noexcept {
-  for (std::size_t w = 0, base = 0; base < n; ++w, base += 64) {
-    const std::size_t chunk = n - base < 64 ? n - base : 64;
-    const std::uint64_t tb_word = tie_break[w];
-    std::uint64_t bits = 0;
-    for (std::size_t b = 0; b < chunk; ++b) {
-      // Branch-free Eq. 1 sign extraction straight into the packed word:
-      // bit = 1 (element -1) when the lane is negative, or zero with a
-      // negative tie-break element.
-      const auto lane = static_cast<std::uint32_t>(lanes[base + b]);
-      const std::uint64_t neg = lane >> 31;
-      const std::uint64_t nonzero = (lane | (0u - lane)) >> 31;
-      const std::uint64_t tb_bit = (tb_word >> b) & 1ULL;
-      bits |= (neg | ((nonzero ^ 1ULL) & tb_bit)) << b;
-    }
-    out[w] = bits;
   }
 }
 
@@ -137,8 +87,12 @@ void am_sweep_swar(const std::uint64_t* am, std::size_t classes,
 }
 
 constexpr Kernels kSwarKernels{
-    "swar",          xor_popcount_swar,     csa_add_swar, csa_patch_swar,
-    bipolarize_packed_swar, slice_bipolarize_swar, am_sweep_swar,
+    "swar",
+    xor_popcount_swar,
+    bundle_bound_swar,
+    csa_patch_swar,
+    slice_bipolarize_swar,
+    am_sweep_swar,
 };
 
 }  // namespace

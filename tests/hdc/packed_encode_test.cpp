@@ -1,6 +1,6 @@
 // Tests for the dense-free encoding pipeline: the fused packed bipolarize
-// (Accumulator::bipolarize_packed), the bit-sliced full encode
-// (PixelEncoder::encode_packed / encode_into via util::BitSliceAccumulator),
+// (Accumulator::bipolarize_packed), the fused full encode
+// (PixelEncoder::encode_packed / encode_into via the bundle_bound kernel),
 // the packed delta re-encoder (encode_mutant_packed), the parallel batch
 // encoder, and the packed fitness kernels. Everything must be bit-identical
 // to the dense int8 reference path — the same contract PR 1 established for
@@ -95,44 +95,51 @@ TEST(BipolarizePacked, RejectsDimensionMismatch) {
   EXPECT_THROW((void)acc.bipolarize_packed(tie_break), std::invalid_argument);
 }
 
-TEST(BitSliceAccumulator, MatchesNaivePerLaneCountsOnEveryBackend) {
+TEST(EncodeInto, LanesMatchDenseAddBoundOnEveryBackend) {
+  // The fused kernel's int32 lanes against the per-element reference:
+  // add_bound of every dense pixel HV, in pixel order.
   for (const auto* backend : util::simd::available_kernels()) {
     BackendGuard guard(backend->name);
     for (const auto dim : kDims) {
-      util::Rng rng(dim * 3 + 1);
-      util::BitSliceAccumulator bits(dim);
+      const PixelEncoder enc(config_for(dim), 9, 7);
+      const auto img = random_image(9, 7, dim * 3 + 1);
       Accumulator reference(dim);
-      Accumulator drained(dim);
-      // Enough vectors to force several carry levels (levels ~ log2(n)).
-      for (std::size_t n = 0; n < 37; ++n) {
-        const auto a = PackedHv::random(dim, rng);
-        const auto b = PackedHv::random(dim, rng);
-        bits.add_xor(a.words(), b.words());
-        reference.add_bound(a.to_dense(), b.to_dense());
+      const auto pixels = img.pixels();
+      for (std::size_t p = 0; p < pixels.size(); ++p) {
+        reference.add_bound(enc.position_memory()[p],
+                            enc.value_memory()[enc.value_index(pixels[p])]);
       }
-      EXPECT_EQ(bits.added(), 37u);
-      // Mean per-lane count is ~18.5, so the ladder must have opened at
-      // least the 5 slices that represent counts up to 31.
-      EXPECT_GE(bits.levels(), 5u) << backend->name;
-      drained.add_bitsliced(bits);
+      Accumulator lanes(dim);
+      const PackedHv query = enc.encode_into(img, lanes);
       for (std::size_t i = 0; i < dim; ++i) {
-        ASSERT_EQ(drained.lane(i), reference.lane(i))
+        ASSERT_EQ(lanes.lane(i), reference.lane(i))
             << backend->name << " dim=" << dim << " lane=" << i;
       }
+      // The same pass returns the image's packed query.
+      EXPECT_EQ(query, enc.encode_packed(img)) << backend->name;
+      EXPECT_EQ(query, reference.bipolarize_packed(enc.tie_break_packed()))
+          << backend->name;
     }
   }
 }
 
-TEST(BitSliceAccumulator, ClearResetsCounts) {
-  util::BitSliceAccumulator bits(128);
-  util::Rng rng(9);
-  const auto v = PackedHv::random(128, rng);
-  bits.add(v.words());
-  bits.clear();
-  EXPECT_EQ(bits.added(), 0u);
-  Accumulator acc(128);
-  acc.add_bitsliced(bits);
-  for (std::size_t i = 0; i < 128; ++i) ASSERT_EQ(acc.lane(i), 0);
+TEST(EncodeInto, AddsOntoExistingLanes) {
+  // Training-style bundling: two images into one accumulator equal the
+  // lane-wise sum of their separate encodes.
+  const PixelEncoder enc(config_for(1000), 8, 8);
+  const auto a = random_image(8, 8, 1);
+  const auto b = random_image(8, 8, 2);
+  Accumulator both(1000);
+  enc.encode_into(a, both);
+  enc.encode_into(b, both);
+  Accumulator only_a(1000);
+  Accumulator only_b(1000);
+  enc.encode_into(a, only_a);
+  enc.encode_into(b, only_b);
+  only_a.merge(only_b);
+  for (std::size_t i = 0; i < 1000; ++i) {
+    ASSERT_EQ(both.lane(i), only_a.lane(i)) << "lane=" << i;
+  }
 }
 
 TEST(AddBoundPacked, MatchesDenseAddBound) {
@@ -239,15 +246,18 @@ TEST(PackedEncode, EncodeMutantPackedMatchesDenseOnEveryBackend) {
   for (const auto* backend : util::simd::available_kernels()) {
     BackendGuard guard(backend->name);
     for (const auto dim : kDims) {
-      const PixelEncoder enc(config_for(dim), 10, 10);
+      // 16x16: 12 changed pixels stay under encode_mutant_packed's
+      // dense-routing bound (W*H/20 = 12.8), so this runs the patch path.
+      constexpr std::size_t kSide = 16;
+      const PixelEncoder enc(config_for(dim), kSide, kSide);
       IncrementalPixelEncoder inc(enc);
       util::Rng rng(dim);
-      const auto base = random_image(10, 10, dim);
+      const auto base = random_image(kSide, kSide, dim);
       inc.rebase(base);
       auto mutant = base;
       for (std::uint64_t f = 0; f < 12; ++f) {
-        mutant(static_cast<std::size_t>(rng.uniform_u64(10)),
-               static_cast<std::size_t>(rng.uniform_u64(10))) =
+        mutant(static_cast<std::size_t>(rng.uniform_u64(kSide)),
+               static_cast<std::size_t>(rng.uniform_u64(kSide))) =
             static_cast<std::uint8_t>(rng.uniform_u64(256));
       }
       EXPECT_EQ(inc.encode_mutant_packed(mutant),

@@ -406,5 +406,52 @@ TEST(SerializeCorruption, PaddingFlipsAreThrowOrBenignWithoutVerification) {
   }
 }
 
+/// XORs every 4th word of the section of \p kind with 0x0f and refreshes
+/// every checksum: a file still well-formed in every checked respect whose
+/// stored codebook rows no longer match the seed.
+std::string with_edited_section(std::uint32_t kind) {
+  std::string file = v3_bytes();
+  bool found = false;
+  for (const SectionEntry& entry : read_table(file)) {
+    if (entry.kind != kind) continue;
+    found = true;
+    for (std::uint64_t off = 0; off + 8 <= entry.bytes; off += 4 * 8) {
+      const auto at = static_cast<std::size_t>(entry.offset + off);
+      write_at(file, at, read_at<std::uint64_t>(file, at) ^ 0x0fULL);
+    }
+  }
+  EXPECT_TRUE(found) << "no section of kind " << kind;
+  refresh_checksums(file);
+  return file;
+}
+
+TEST(SerializeCorruption, EditedPositionCodebookRejectedByStreamLoader) {
+  // Kind 4 is the stored position codebook. The stream loader's encoder
+  // regenerates those rows from the seed while MappedModel encodes through
+  // the section, so unless load_model compares them the two loaders of one
+  // file encode every image differently.
+  const std::string file = with_edited_section(4);
+  expect_stream_load_throws(file);
+  // A verified map trusts checksummed sections (documented on MapOptions):
+  // it loads, and serves the edited rows.
+  const auto pair = data::make_digit_train_test(10, 3, 404);
+  std::istringstream clean_in(v3_bytes());
+  const HdcClassifier clean = load_model(clean_in);
+  with_temp_file(file, "editpos", [&](const std::string& path) {
+    const MappedModel mapped(path);
+    std::size_t differing = 0;
+    for (const auto& image : pair.test.images) {
+      differing += mapped.encode_packed(image) !=
+                   clean.encoder().encode_packed(image);
+    }
+    EXPECT_EQ(differing, pair.test.images.size());
+  });
+}
+
+TEST(SerializeCorruption, EditedValueAndTieBreakRejectedByStreamLoader) {
+  expect_stream_load_throws(with_edited_section(5));  // value codebook
+  expect_stream_load_throws(with_edited_section(6));  // tie-break
+}
+
 }  // namespace
 }  // namespace hdtest::hdc

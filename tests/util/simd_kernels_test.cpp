@@ -4,6 +4,8 @@
 // widths plus larger mixed tails) followed by shapes drawn from a seeded
 // util::Rng: words 1-300, ladder levels 1-12, classes 1-32 with duplicate
 // prototype rows so ties occur, and ref_class at the first and last class.
+// The bundling kernel has its own shape list (pixel counts around the
+// 16-pixel Harley–Seal rounds, lane tails, repeated value rows).
 // SWAR is one of the backends swept, so every backend also matches SWAR.
 // Also covers the selection API itself (registry shape, forced selection,
 // unknown-name rejection, the oracle never being auto-selected).
@@ -141,31 +143,102 @@ TEST(SimdKernels, XorPopcountMatchesSwarEverywhere) {
   }
 }
 
-TEST(SimdKernels, CsaAddMatchesSwarIncludingEscapes) {
+/// One bundle_bound shape: packed words per row, pixel count, and the
+/// tail bits cut from the last word (lane count = 64 * words - tail).
+struct BundleShape {
+  std::size_t words = 1;
+  std::size_t count = 0;
+  std::size_t tail = 0;
+};
+
+std::ostream& operator<<(std::ostream& os, const BundleShape& shape) {
+  return os << "words=" << shape.words << " count=" << shape.count
+            << " tail=" << shape.tail;
+}
+
+/// Every edge word count (straddling the 1/4/8-word block widths) crossed
+/// with every edge pixel count (Harley–Seal round boundaries at 16, odd and
+/// even, an MNIST image and one more), then kSeededShapes shapes drawn from
+/// a fixed-seed Rng: words 1-300, counts 0-1000, any tail.
+std::vector<BundleShape> bundle_shapes() {
+  constexpr std::size_t kSeededShapes = 24;
+  const std::size_t edge_words[] = {1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17};
+  const std::size_t edge_counts[] = {0, 1, 2, 15, 16, 17, 31, 784, 785};
+  std::vector<BundleShape> out;
+  std::size_t i = 0;
+  for (const std::size_t words : edge_words) {
+    for (const std::size_t count : edge_counts) {
+      // Tails cycle through none, a single lane, and a mid-word cut.
+      const std::size_t tails[] = {0, 63, 24};
+      out.push_back({words, count, tails[i++ % std::size(tails)]});
+    }
+  }
+  Rng rng(0xb0b0b0);
+  for (std::size_t k = 0; k < kSeededShapes; ++k) {
+    out.push_back({1 + rng.uniform_u64(300), rng.uniform_u64(1001),
+                   rng.uniform_u64(64)});
+  }
+  return out;
+}
+
+TEST(SimdKernels, BundleBoundMatchesOracleOnEveryShape) {
   Rng rng(12);
-  for (const Shape& shape : shapes()) {
+  for (const BundleShape& shape : bundle_shapes()) {
     const std::size_t words = shape.words;
-    const std::size_t levels = shape.levels;
-    const auto bank0 = random_words(levels * words, rng);
-    const auto a = random_words(words, rng);
-    const auto b = random_words(words, rng);
-    for (const bool with_xor : {false, true}) {
-      auto expected_bank = bank0;
-      // All-zero on entry, per the csa_add contract.
-      std::vector<std::uint64_t> expected_carry(words, 0);
-      const bool expected_escape = oracle().csa_add(
-          expected_bank.data(), words, levels, a.data(),
-          with_xor ? b.data() : nullptr, expected_carry.data());
-      for (const Kernels* k : available_kernels()) {
-        auto bank = bank0;
-        std::vector<std::uint64_t> carry(words, 0);
-        const bool escape =
-            k->csa_add(bank.data(), words, levels, a.data(),
-                       with_xor ? b.data() : nullptr, carry.data());
-        EXPECT_EQ(escape, expected_escape) << k->name << " " << shape;
-        EXPECT_EQ(bank, expected_bank) << k->name << " " << shape;
-        EXPECT_EQ(carry, expected_carry) << k->name << " " << shape;
+    const std::size_t bits = words * 64 - shape.tail;
+    const std::size_t count = shape.count;
+    // Rows one word wider than the packed width on odd pixel counts, so a
+    // kernel that confuses stride with width shows.
+    const std::size_t stride = words + count % 2;
+    // Half the shapes pair every pixel with its complement under the same
+    // value row: each pair adds exactly one set bit per lane, so with an
+    // even count every lane sits at count/2 and Eq. 1 takes the tie-break.
+    const bool paired = rng.uniform_u64(2) == 0;
+    auto positions = random_words(count * stride, rng);
+    // Few value rows, drawn with repetition.
+    const std::size_t value_count = 1 + rng.uniform_u64(3);
+    const auto values = random_words(value_count * stride, rng);
+    std::vector<const std::uint64_t*> rows(count);
+    for (std::size_t p = 0; p < count; ++p) {
+      rows[p] = values.data() + rng.uniform_u64(value_count) * stride;
+      if (paired && p % 2 == 1) {
+        rows[p] = rows[p - 1];
+        for (std::size_t w = 0; w < stride; ++w) {
+          positions[p * stride + w] = ~positions[(p - 1) * stride + w];
+        }
       }
+    }
+    const auto tb = random_words(words, rng);
+    std::vector<std::int32_t> lanes0(bits);
+    for (auto& lane : lanes0) {
+      lane = static_cast<std::int32_t>(rng.uniform_u64(9)) - 4;
+    }
+
+    std::vector<std::uint64_t> expected(words, ~0ULL);
+    auto expected_lanes = lanes0;
+    oracle().bundle_bound(positions.data(), stride, rows.data(), count, bits,
+                          tb.data(), expected.data(), expected_lanes.data());
+    EXPECT_EQ(expected.back() & ~tail_mask(bits), 0u) << shape;
+    if (paired && count % 2 == 0) {
+      // All ties: the result is the tie-break pattern, and every lane sum
+      // is zero.
+      auto ties = tb;
+      ties.back() &= tail_mask(bits);
+      EXPECT_EQ(expected, ties) << shape;
+      EXPECT_EQ(expected_lanes, lanes0) << shape;
+    }
+    for (const Kernels* k : available_kernels()) {
+      std::vector<std::uint64_t> out(words, ~0ULL);
+      auto lanes = lanes0;
+      k->bundle_bound(positions.data(), stride, rows.data(), count, bits,
+                      tb.data(), out.data(), lanes.data());
+      EXPECT_EQ(out, expected) << k->name << " " << shape;
+      EXPECT_EQ(lanes, expected_lanes) << k->name << " " << shape;
+      // Without lanes: the same packed result.
+      std::vector<std::uint64_t> packed_only(words, ~0ULL);
+      k->bundle_bound(positions.data(), stride, rows.data(), count, bits,
+                      tb.data(), packed_only.data(), nullptr);
+      EXPECT_EQ(packed_only, expected) << k->name << " " << shape;
     }
   }
 }
@@ -192,29 +265,6 @@ TEST(SimdKernels, CsaPatchMatchesSwar) {
       k->csa_patch(bank.data(), words, levels, pos.data(), old_val.data(),
                    new_val.data());
       EXPECT_EQ(bank, expected) << k->name << " " << shape;
-    }
-  }
-}
-
-TEST(SimdKernels, BipolarizePackedMatchesSwar) {
-  Rng rng(14);
-  for (const Shape& shape : shapes()) {
-    const std::size_t words = shape.words;
-    // A lane count ending anywhere inside the last word (tails included).
-    const std::size_t n = words * 64 - rng.uniform_u64(64);
-    std::vector<std::int32_t> lanes(n);
-    for (auto& lane : lanes) {
-      lane = static_cast<std::int32_t>(rng.uniform_u64(7)) - 3;  // -3..3
-    }
-    const auto tb = random_words(words, rng);
-    std::vector<std::uint64_t> expected(words, ~0ULL);
-    oracle().bipolarize_packed(lanes.data(), n, tb.data(), expected.data());
-    // Tail bits past n are zero by contract.
-    EXPECT_EQ(expected.back() & ~tail_mask(n), 0u) << shape;
-    for (const Kernels* k : available_kernels()) {
-      std::vector<std::uint64_t> out(words, ~0ULL);
-      k->bipolarize_packed(lanes.data(), n, tb.data(), out.data());
-      EXPECT_EQ(out, expected) << k->name << " n=" << n;
     }
   }
 }

@@ -101,30 +101,6 @@ void BM_EncodeIntoAccumulator(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeIntoAccumulator)->Arg(4096);
 
-/// Incremental re-encode with state.range(1) changed pixels.
-void BM_IncrementalEncode(benchmark::State& state) {
-  const hdc::PixelEncoder enc(bench_config(static_cast<std::size_t>(state.range(0))),
-                              28, 28);
-  const auto base = sample_digit();
-  hdc::IncrementalPixelEncoder inc(enc);
-  inc.rebase(base);
-  auto mutant = base;
-  util::Rng rng(7);
-  for (std::int64_t i = 0; i < state.range(1); ++i) {
-    const auto row = static_cast<std::size_t>(rng.uniform_u64(28));
-    const auto col = static_cast<std::size_t>(rng.uniform_u64(28));
-    mutant(row, col) = static_cast<std::uint8_t>(rng.uniform_u64(256));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(inc.encode_mutant(mutant));
-  }
-}
-BENCHMARK(BM_IncrementalEncode)
-    ->Args({4096, 3})    // 'rand' strategy footprint
-    ->Args({4096, 28})   // one row ('row_rand')
-    ->Args({4096, 200})  // heavy mutation
-    ->Args({10000, 3});
-
 /// Packed delta re-encode (csa_patch + slice_bipolarize) with
 /// state.range(1) changed pixels at distinct positions, each moving to a
 /// different value level. Read against BM_FullEncodePacked at the same D:

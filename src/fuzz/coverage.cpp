@@ -15,29 +15,28 @@ NoveltyArchive::NoveltyArchive(double add_threshold, std::size_t max_size)
   }
 }
 
-double NoveltyArchive::novelty(const hdc::Hypervector& query) const {
+double NoveltyArchive::novelty(const hdc::PackedHv& query) const {
   if (entries_.empty()) return 2.0;
-  const auto packed = hdc::PackedHv::from_dense(query);
   double best = 2.0;
   for (const auto& entry : entries_) {
-    const double distance = 1.0 - cosine(packed, entry);
+    const double distance = 1.0 - cosine(query, entry);
     if (distance < best) best = distance;
   }
   return best;
 }
 
-double NoveltyArchive::observe(const hdc::Hypervector& query) {
+double NoveltyArchive::observe(const hdc::PackedHv& query) {
   const double score = novelty(query);
   if (score >= add_threshold_ &&
       (max_size_ == 0 || entries_.size() < max_size_)) {
-    entries_.push_back(hdc::PackedHv::from_dense(query));
+    entries_.push_back(query);
   }
   return score;
 }
 
-void NoveltyArchive::add(const hdc::Hypervector& query) {
+void NoveltyArchive::add(const hdc::PackedHv& query) {
   if (max_size_ == 0 || entries_.size() < max_size_) {
-    entries_.push_back(hdc::PackedHv::from_dense(query));
+    entries_.push_back(query);
   }
 }
 
@@ -66,19 +65,22 @@ CoverageOutcome CoverageFuzzer::fuzz_one(const data::Image& input,
   CoverageOutcome outcome;
   const std::size_t archive_before = archive_.size();
 
-  const auto reference_query = model_->encode(input);
-  outcome.base.reference_label = model_->predict_encoded(reference_query);
+  const auto& encoder = model_->encoder();
+  const auto& packed_am = model_->am().packed();
+  const auto reference_query = encoder.encode_packed(input);
+  outcome.base.reference_label = packed_am.predict(reference_query);
   ++outcome.base.encodes;
   archive_.add(reference_query);  // seed the corpus with the clean input
 
-  hdc::IncrementalPixelEncoder delta_encoder(model_->encoder());
+  hdc::IncrementalPixelEncoder delta_encoder(encoder);
   if (config_.use_incremental_encoder) {
     delta_encoder.rebase(input);
   }
 
   std::vector<ScoredSeed> parents;
   parents.push_back(ScoredSeed{
-      input, fitness_of(*model_, outcome.base.reference_label, reference_query)});
+      input,
+      fitness_of(packed_am, outcome.base.reference_label, reference_query)});
 
   for (std::size_t iter = 0; iter < config_.iter_times; ++iter) {
     ++outcome.base.iterations;
@@ -93,10 +95,10 @@ CoverageOutcome CoverageFuzzer::fuzz_one(const data::Image& input,
         continue;
       }
       const auto query = config_.use_incremental_encoder
-                             ? delta_encoder.encode_mutant(mutant)
-                             : model_->encode(mutant);
+                             ? delta_encoder.encode_mutant_packed(mutant)
+                             : encoder.encode_packed(mutant);
       ++outcome.base.encodes;
-      const auto label = model_->predict_encoded(query);
+      const auto label = packed_am.predict(query);
       if (label != outcome.base.reference_label) {
         outcome.base.success = true;
         outcome.base.adversarial = std::move(mutant);
@@ -108,7 +110,7 @@ CoverageOutcome CoverageFuzzer::fuzz_one(const data::Image& input,
       }
       // Blended objective: class-distance fitness + representation novelty.
       const double fitness =
-          fitness_of(*model_, outcome.base.reference_label, query);
+          fitness_of(packed_am, outcome.base.reference_label, query);
       const double novelty = archive_.observe(query) / 2.0;  // -> [0, 1]
       candidates.push_back(ScoredSeed{
           std::move(mutant),

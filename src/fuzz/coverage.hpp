@@ -48,14 +48,14 @@ class NoveltyArchive {
 
   /// Cosine distance (1 - cosine similarity) of \p query to its nearest
   /// archived neighbor; returns 2.0 (max) for an empty archive.
-  [[nodiscard]] double novelty(const hdc::Hypervector& query) const;
+  [[nodiscard]] double novelty(const hdc::PackedHv& query) const;
 
   /// Measures novelty and archives the query if it clears the threshold
   /// (and capacity allows). Returns the novelty measured *before* insertion.
-  double observe(const hdc::Hypervector& query);
+  double observe(const hdc::PackedHv& query);
 
   /// Unconditionally archives a query (seeding the corpus).
-  void add(const hdc::Hypervector& query);
+  void add(const hdc::PackedHv& query);
 
  private:
   double add_threshold_;

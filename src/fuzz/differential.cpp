@@ -29,8 +29,15 @@ CrossModelOutcome CrossModelFuzzer::fuzz_one(const data::Image& input,
                                              util::Rng& rng) const {
   CrossModelOutcome outcome;
 
-  const auto ref_a = model_a_->predict(input);
-  const auto ref_b = model_b_->predict(input);
+  // Both models answer on the packed query path: packed encodes, the packed
+  // AM argmax and XOR+popcount similarities (the same labels and doubles as
+  // the dense classifier calls).
+  const auto& encoder_a = model_a_->encoder();
+  const auto& encoder_b = model_b_->encoder();
+  const auto& am_a = model_a_->am().packed();
+  const auto& am_b = model_b_->am().packed();
+  const auto ref_a = am_a.predict(encoder_a.encode_packed(input));
+  const auto ref_b = am_b.predict(encoder_b.encode_packed(input));
   outcome.encodes += 2;
   if (ref_a != ref_b) {
     outcome.skipped = true;
@@ -39,8 +46,8 @@ CrossModelOutcome CrossModelFuzzer::fuzz_one(const data::Image& input,
     return outcome;
   }
 
-  hdc::IncrementalPixelEncoder delta_a(model_a_->encoder());
-  hdc::IncrementalPixelEncoder delta_b(model_b_->encoder());
+  hdc::IncrementalPixelEncoder delta_a(encoder_a);
+  hdc::IncrementalPixelEncoder delta_b(encoder_b);
   if (config_.use_incremental_encoder) {
     delta_a.rebase(input);
     delta_b.rebase(input);
@@ -60,14 +67,14 @@ CrossModelOutcome CrossModelFuzzer::fuzz_one(const data::Image& input,
       if (!config_.budget.accepts(perturbation)) continue;
 
       const auto query_a = config_.use_incremental_encoder
-                               ? delta_a.encode_mutant(mutant)
-                               : model_a_->encode(mutant);
+                               ? delta_a.encode_mutant_packed(mutant)
+                               : encoder_a.encode_packed(mutant);
       const auto query_b = config_.use_incremental_encoder
-                               ? delta_b.encode_mutant(mutant)
-                               : model_b_->encode(mutant);
+                               ? delta_b.encode_mutant_packed(mutant)
+                               : encoder_b.encode_packed(mutant);
       outcome.encodes += 2;
-      const auto label_a = model_a_->predict_encoded(query_a);
-      const auto label_b = model_b_->predict_encoded(query_b);
+      const auto label_a = am_a.predict(query_a);
+      const auto label_b = am_b.predict(query_b);
       if (label_a != label_b) {
         outcome.success = true;
         outcome.divergent = std::move(mutant);
@@ -76,9 +83,8 @@ CrossModelOutcome CrossModelFuzzer::fuzz_one(const data::Image& input,
         outcome.perturbation = perturbation;
         return outcome;
       }
-      const double fitness =
-          1.0 - 0.5 * (model_a_->similarity_to_class(ref_a, query_a) +
-                       model_b_->similarity_to_class(ref_b, query_b));
+      const double fitness = 1.0 - 0.5 * (am_a.similarity_to(ref_a, query_a) +
+                                          am_b.similarity_to(ref_b, query_b));
       candidates.push_back(ScoredSeed{std::move(mutant), fitness});
     }
     for (auto& parent : parents) candidates.push_back(std::move(parent));

@@ -25,16 +25,10 @@ struct ScoredSeed {
   double fitness = 0.0;
 };
 
-/// Computes the paper's fitness for an already-encoded query HV.
-[[nodiscard]] inline double fitness_of(const hdc::HdcClassifier& model,
-                                       std::size_t reference_label,
-                                       const hdc::Hypervector& query) {
-  return 1.0 - model.similarity_to_class(reference_label, query);
-}
-
-/// Packed-query overload: identical doubles to the dense version (packed
-/// similarity is exact, see PackedAssocMemory::similarity_to), computed from
-/// XOR+popcount instead of a dense dot. The fuzz loop's steady-state path.
+/// Computes the paper's fitness for an already-encoded packed query HV. The
+/// doubles equal 1 - HdcClassifier::similarity_to_class on the dense query:
+/// both forms divide the same integer dot, D - 2*ham, by D (see
+/// PackedAssocMemory::similarity_to).
 [[nodiscard]] inline double fitness_of(const hdc::PackedAssocMemory& am,
                                        std::size_t reference_label,
                                        const hdc::PackedHv& query) {

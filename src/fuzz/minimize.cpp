@@ -22,7 +22,9 @@ MinimizeResult minimize_adversarial(const hdc::HdcClassifier& model,
   }
 
   MinimizeResult result;
-  const auto reference = model.predict(original);
+  const auto& packed_am = model.am().packed();
+  const auto reference =
+      packed_am.predict(model.encoder().encode_packed(original));
   ++result.encodes;
 
   hdc::IncrementalPixelEncoder encoder(model.encoder());
@@ -30,7 +32,7 @@ MinimizeResult minimize_adversarial(const hdc::HdcClassifier& model,
 
   auto is_adversarial = [&](const data::Image& candidate) {
     ++result.encodes;
-    return model.predict_encoded(encoder.encode_mutant(candidate)) !=
+    return packed_am.predict(encoder.encode_mutant_packed(candidate)) !=
            reference;
   };
 

@@ -52,6 +52,7 @@ std::size_t fuzz_round(const hdc::HdcClassifier& model,
   std::size_t spent = 0;
   hdc::IncrementalPixelEncoder encoder(model.encoder());
   encoder.rebase(original);
+  const auto& packed_am = model.am().packed();
 
   std::vector<ScoredSeed> parents;
   parents.push_back(ScoredSeed{entry.best_seed, entry.best_fitness});
@@ -62,16 +63,17 @@ std::size_t fuzz_round(const hdc::HdcClassifier& model,
       data::Image mutant = strategy.mutate(parents[s % parents.size()].image, rng);
       const auto perturbation = measure_perturbation(original, mutant);
       if (!config.budget.accepts(perturbation)) continue;
-      const auto query = encoder.encode_mutant(mutant);
+      const auto query = encoder.encode_mutant_packed(mutant);
       ++spent;
-      const auto label = model.predict_encoded(query);
+      const auto label = packed_am.predict(query);
       if (label != entry.reference_label) {
         entry.solved = true;
         entry.adversarial = std::move(mutant);
         entry.adversarial_label = label;
         return spent;
       }
-      const double fitness = fitness_of(model, entry.reference_label, query);
+      const double fitness =
+          fitness_of(packed_am, entry.reference_label, query);
       candidates.push_back(ScoredSeed{std::move(mutant), fitness});
     }
     for (auto& parent : parents) candidates.push_back(std::move(parent));
@@ -108,13 +110,14 @@ ScheduleResult run_scheduled_campaign(const hdc::HdcClassifier& model,
   // entry is a pure function of its input (one full encode), so the warm-up
   // parallelizes with per-slot writes — order-exact for any worker count.
   result.queue.resize(inputs.size());
+  const auto& packed_am = model.am().packed();
   util::parallel_for(inputs.size(), config.workers, [&](std::size_t i) {
     QueueEntry entry;
     entry.image_index = i;
     entry.margin = similarity_margin(model, inputs.images[i]);
-    const auto query = model.encode(inputs.images[i]);
-    entry.reference_label = model.predict_encoded(query);
-    entry.best_fitness = fitness_of(model, entry.reference_label, query);
+    const auto query = model.encoder().encode_packed(inputs.images[i]);
+    entry.reference_label = packed_am.predict(query);
+    entry.best_fitness = fitness_of(packed_am, entry.reference_label, query);
     entry.best_seed = inputs.images[i];
     result.queue[i] = std::move(entry);
   });

@@ -124,23 +124,6 @@ std::size_t AssociativeMemory::predict(const Hypervector& query) const {
   return best;
 }
 
-std::vector<double> AssociativeMemory::similarities_packed(
-    const PackedHv& query) const {
-  if (!finalized_) {
-    throw std::logic_error(
-        "AssociativeMemory: finalize() before similarities_packed()");
-  }
-  return packed_.similarities(query);
-}
-
-std::size_t AssociativeMemory::predict_packed(const PackedHv& query) const {
-  if (!finalized_) {
-    throw std::logic_error(
-        "AssociativeMemory: finalize() before predict_packed()");
-  }
-  return packed_.predict(query);
-}
-
 const PackedAssocMemory& AssociativeMemory::packed() const {
   if (!finalized_) {
     throw std::logic_error("AssociativeMemory: finalize() before packed()");

@@ -81,19 +81,11 @@ class AssociativeMemory {
   /// Similarity between \p query and one specific class's reference HV.
   [[nodiscard]] double similarity_to(std::size_t cls, const Hypervector& query) const;
 
-  /// Fast path: argmax over the bit-packed class HVs (cached at finalize()).
-  /// Bit-identical ranking to predict() — packed dot equals dense dot for
-  /// bipolar HVs — at a fraction of the memory traffic. The caller packs the
-  /// query once (PackedHv::from_dense) and may reuse it across queries.
-  [[nodiscard]] std::size_t predict_packed(const PackedHv& query) const;
-
-  /// Packed similarity vector (same values as similarities() under cosine;
-  /// Hamming-normalized under kHamming).
-  [[nodiscard]] std::vector<double> similarities_packed(const PackedHv& query) const;
-
-  /// The packed snapshot backing the fast path (rebuilt by finalize()).
-  /// This is the batch-inference engine: callers hold onto the reference and
-  /// issue predict_batch() calls against it.
+  /// The bit-packed class HVs (rebuilt by finalize()): XOR + popcount
+  /// argmax and similarities with the same ranking and doubles as the dense
+  /// predict()/similarities(). This is the query and batch-inference engine:
+  /// callers hold onto the reference and issue predict()/predict_batch()
+  /// calls against it.
   /// \throws std::logic_error before finalize().
   [[nodiscard]] const PackedAssocMemory& packed() const;
 

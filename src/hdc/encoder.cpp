@@ -204,57 +204,15 @@ void IncrementalPixelEncoder::rebuild_base_slices() const {
   }
 }
 
-void IncrementalPixelEncoder::collect_patches(const data::Image& mutant) const {
+HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
+    const data::Image& mutant) const {
   if (!has_base()) {
-    throw std::logic_error("IncrementalPixelEncoder: rebase() before encode_mutant()");
+    throw std::logic_error(
+        "IncrementalPixelEncoder: rebase() before encode_mutant_packed()");
   }
   if (mutant.width() != base_.width() || mutant.height() != base_.height()) {
     throw std::invalid_argument("IncrementalPixelEncoder: shape mismatch with base");
   }
-  patches_.clear();
-  const auto base_px = base_.pixels();
-  const auto mut_px = mutant.pixels();
-  std::size_t deltas = 0;
-  for (std::size_t p = 0; p < base_px.size(); ++p) {
-    if (base_px[p] == mut_px[p]) continue;
-    const auto old_idx = encoder_->value_index(base_px[p]);
-    const auto new_idx = encoder_->value_index(mut_px[p]);
-    if (old_idx != new_idx) {
-      patches_.push_back(Patch{static_cast<std::uint32_t>(p),
-                               static_cast<std::uint32_t>(old_idx),
-                               static_cast<std::uint32_t>(new_idx)});
-    }
-    ++deltas;
-  }
-  last_delta_count_ = deltas;
-}
-
-void IncrementalPixelEncoder::apply_patches_to_scratch() const {
-  // Copy the base accumulator (reusing scratch storage) and patch only the
-  // changed pixels: acc += pixelHV(p, new) - pixelHV(p, old). The patch
-  // reads the packed codebooks — same integer lane updates as the dense
-  // add_bound, an eighth of the memory traffic.
-  scratch_ = base_acc_;
-  const auto& positions = encoder_->packed_position_memory();
-  const auto& values = encoder_->packed_value_memory();
-  for (const auto& patch : patches_) {
-    scratch_.add_bound_packed(positions[patch.position],
-                              values[patch.old_index], -1);
-    scratch_.add_bound_packed(positions[patch.position],
-                              values[patch.new_index], +1);
-  }
-}
-
-Hypervector IncrementalPixelEncoder::encode_mutant(
-    const data::Image& mutant) const {
-  collect_patches(mutant);
-  apply_patches_to_scratch();
-  return scratch_.bipolarize(encoder_->tie_break());
-}
-
-HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
-    const data::Image& mutant) const {
-  collect_patches(mutant);
 
   // Dense mutations (e.g. gauss noise rewrites nearly every pixel) are past
   // the point where patching pays: the fused full encode costs
@@ -267,14 +225,33 @@ HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
   // 11.4 us at 33 / 64 changed pixels (D=4096) and 42.4 / 72.6 us
   // (D=16384), so they cross at ~36 and ~44 of 784 pixels. Routing above
   // W*H/20 (39 of 784) keeps campaign-rand's ~33-pixel deltas on the patch
-  // path.
-  const std::size_t pixels = base_.pixels().size();
+  // path. The patch list stops growing once it crosses the bound; the
+  // remaining pixels are only counted (last_delta_count()).
+  const auto base_px = base_.pixels();
+  const auto mut_px = mutant.pixels();
+  const std::size_t pixels = base_px.size();
+  patches_.clear();
+  std::size_t deltas = 0;
+  std::size_t p = 0;
+  for (; p < pixels && patches_.size() * 20 <= pixels; ++p) {
+    if (base_px[p] == mut_px[p]) continue;
+    ++deltas;
+    const auto old_idx = encoder_->value_index(base_px[p]);
+    const auto new_idx = encoder_->value_index(mut_px[p]);
+    if (old_idx != new_idx) {
+      patches_.push_back(Patch{static_cast<std::uint32_t>(p),
+                               static_cast<std::uint32_t>(old_idx),
+                               static_cast<std::uint32_t>(new_idx)});
+    }
+  }
+  for (; p < pixels; ++p) deltas += base_px[p] != mut_px[p] ? 1 : 0;
+  last_delta_count_ = deltas;
   if (patches_.size() * 20 > pixels) {
     return encoder_->encode_packed(mutant);
   }
 
-  // Lazily (re)build the slice bank: dense-only callers and rerouted dense
-  // mutations never pay for it.
+  // Lazily (re)build the slice bank: rerouted dense mutations never pay
+  // for it.
   if (slices_stale_) {
     rebuild_base_slices();
     slices_stale_ = false;
@@ -289,7 +266,7 @@ HDTEST_HOT_PATH PackedHv IncrementalPixelEncoder::encode_mutant_packed(
   // T, lane == 0 <=> stored == T, with T = bias + 2*pairs. Eq. 1 then falls
   // out of one bit-parallel MSB-down comparison per word
   // (simd::Kernels::slice_bipolarize) — never a dense intermediate, never
-  // an O(D) int32 pass. Bit-exact with from_dense(encode_mutant(mutant))
+  // an O(D) int32 pass. Bit-exact with PixelEncoder::encode_packed(mutant)
   // under every kernel backend.
   const auto& kernels = util::simd::kernels();
   const std::size_t n = encoder_->dim();

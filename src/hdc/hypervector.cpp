@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "hdc/packed_hv.hpp"
-
 namespace hdtest::hdc {
 
 namespace {
@@ -169,24 +167,6 @@ void Accumulator::add_bound(const Hypervector& a, const Hypervector& b,
   }
 }
 
-void Accumulator::add_bound_packed(std::span<const std::uint64_t> pos,
-                                   std::span<const std::uint64_t> val,
-                                   int weight) {
-  const std::size_t n = lanes_.size();
-  if (pos.size() != util::words_for_bits(n) || val.size() != pos.size()) {
-    throw std::invalid_argument("Accumulator::add_bound_packed: word count mismatch");
-  }
-  for (std::size_t w = 0, base = 0; base < n; ++w, base += 64) {
-    const std::uint64_t bound = pos[w] ^ val[w];
-    const std::size_t chunk = std::min<std::size_t>(64, n - base);
-    for (std::size_t b = 0; b < chunk; ++b) {
-      // bit = 1 encodes element -1: lane += weight * (1 - 2*bit).
-      const auto bit = static_cast<std::int32_t>((bound >> b) & 1ULL);
-      lanes_[base + b] += weight - 2 * weight * bit;
-    }
-  }
-}
-
 void Accumulator::add_packed(std::span<const std::uint64_t> v, int weight) {
   const std::size_t n = lanes_.size();
   if (v.size() != util::words_for_bits(n)) {
@@ -227,21 +207,6 @@ Hypervector Accumulator::bipolarize(const Hypervector& tie_break) const {
     }
   }
   return Hypervector::from_raw(std::move(raw));
-}
-
-PackedHv Accumulator::bipolarize_packed(const PackedHv& tie_break) const {
-  check_same_dim(dim(), tie_break.dim(), "Accumulator::bipolarize_packed");
-  // Eq. 1 sign extraction straight into packed words: bit = 1 (element -1)
-  // when the lane is negative, or zero with a negative tie-break element.
-  const std::size_t n = lanes_.size();
-  const auto ties = tie_break.words();
-  std::vector<std::uint64_t> words(util::words_for_bits(n), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t tie = (ties[i / 64] >> (i % 64)) & 1u;
-    const std::uint64_t bit = lanes_[i] < 0 ? 1 : (lanes_[i] == 0 ? tie : 0);
-    words[i / 64] |= bit << (i % 64);
-  }
-  return PackedHv::from_words(n, std::move(words));
 }
 
 }  // namespace hdtest::hdc

@@ -25,8 +25,6 @@
 
 namespace hdtest::hdc {
 
-class PackedHv;  // packed_hv.hpp; forward-declared to avoid a header cycle
-
 /// A dense bipolar hypervector; every element is -1 or +1.
 class Hypervector {
  public:
@@ -129,14 +127,6 @@ class Accumulator {
   /// This is the hot path of pixel encoding: acc += posHV (*) valueHV.
   void add_bound(const Hypervector& a, const Hypervector& b, int weight = 1);
 
-  /// Packed counterpart of add_bound: the bound HV is given as sign-bit
-  /// words pos ^ val (bit = 1 encodes -1), read straight from packed item
-  /// memories. Exactly the same lane updates as add_bound on the dense
-  /// entries. The delta re-encoder's patch kernel.
-  /// \pre both spans hold util::words_for_bits(dim()) words.
-  void add_bound_packed(std::span<const std::uint64_t> pos,
-                        std::span<const std::uint64_t> val, int weight = 1);
-
   /// Packed counterpart of add(): accumulates a sign-bit-packed HV
   /// (bit = 1 encodes -1) with the exact same lane updates as add() on its
   /// dense form. Lets training/retraining consume cached packed queries
@@ -165,13 +155,6 @@ class Accumulator {
   /// Eq. 1 of the paper; zero lanes take the sign of tie_break[i].
   /// \pre tie_break.dim() == dim().
   [[nodiscard]] Hypervector bipolarize(const Hypervector& tie_break) const;
-
-  /// Fused Eq. 1 + sign-bit packing: extracts each lane's sign directly into
-  /// packed words, skipping the dense int8 intermediate entirely. Bit-exact
-  /// with the dense path:
-  ///   bipolarize_packed(packed_tb) == PackedHv::from_dense(bipolarize(tb)).
-  /// \pre tie_break.dim() == dim().
-  [[nodiscard]] PackedHv bipolarize_packed(const PackedHv& tie_break) const;
 
  private:
   std::vector<std::int32_t> lanes_;

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "temp_path.hpp"
+
 namespace hdtest::data {
 namespace {
 
@@ -151,7 +153,7 @@ TEST(DiffMask, MarksExactlyChangedPixels) {
 class PgmTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() / "hdtest_img.pgm").string();
+    path_ = unique_temp_path("hdtest_img", ".pgm").string();
   }
   void TearDown() override { std::filesystem::remove(path_); }
   std::string path_;

@@ -5,7 +5,9 @@
 // whole life in packed sign-bit space. Verified with the process-wide
 // instrumentation counters (hdc/instrument.hpp) rather than call-site
 // review. Also asserts that the prepared-seed path is bit-identical to the
-// self-contained fuzz_one overload.
+// self-contained fuzz_one overload, and that the other fuzz loops
+// (cross-model differential, coverage-guided, scheduled, minimization) query
+// the model on the same packed path.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +16,11 @@
 #include <span>
 
 #include "data/synthetic_digits.hpp"
+#include "fuzz/coverage.hpp"
+#include "fuzz/differential.hpp"
 #include "fuzz/fuzzer.hpp"
+#include "fuzz/minimize.hpp"
+#include "fuzz/schedule.hpp"
 #include "hdc/classifier.hpp"
 #include "hdc/instrument.hpp"
 
@@ -39,6 +45,16 @@ class DenseFreeTest : public ::testing::Test {
 
   static const hdc::HdcClassifier& model() { return *model_; }
   static const data::Dataset& test_images() { return pair_->test; }
+  static const data::Dataset& train_images() { return pair_->train; }
+
+  /// Expects no dense Hypervector and no from_dense re-pack since the last
+  /// instrument::reset().
+  static void expect_dense_free(const char* what) {
+    EXPECT_EQ(hdc::instrument::dense_hv_materializations(), 0u)
+        << what << " materialized a dense Hypervector";
+    EXPECT_EQ(hdc::instrument::packed_from_dense(), 0u)
+        << what << " re-packed a dense query via PackedHv::from_dense";
+  }
 
  private:
   static std::unique_ptr<hdc::HdcClassifier> model_;
@@ -153,6 +169,70 @@ TEST_F(DenseFreeTest, PrepareSeedsMatchesPerInputForAnyWorkerCount) {
       ASSERT_EQ(seeds[i].reference_label, expected.reference_label);
     }
   }
+}
+
+TEST_F(DenseFreeTest, CrossModelFuzzOneIsDenseFree) {
+  hdc::ModelConfig config;
+  config.dim = 2048;
+  config.seed = 20;
+  hdc::HdcClassifier other(config, 28, 28, 10);
+  other.fit(train_images());
+  const RandNoiseMutation strategy;
+  FuzzConfig fuzz_config;
+  fuzz_config.iter_times = 4;
+  const CrossModelFuzzer fuzzer(model(), other, strategy, fuzz_config);
+  // An input both models label alike, so the mutant loop actually runs.
+  std::size_t index = 0;
+  while (index < test_images().size() &&
+         model().predict(test_images().images[index]) !=
+             other.predict(test_images().images[index])) {
+    ++index;
+  }
+  ASSERT_LT(index, test_images().size());
+  util::Rng rng(9);
+  hdc::instrument::reset();
+  const auto outcome = fuzzer.fuzz_one(test_images().images[index], rng);
+  EXPECT_FALSE(outcome.skipped);
+  EXPECT_GT(outcome.encodes, 2u);
+  expect_dense_free("CrossModelFuzzer::fuzz_one");
+}
+
+TEST_F(DenseFreeTest, CoverageFuzzOneIsDenseFree) {
+  const RandNoiseMutation strategy;
+  FuzzConfig config;
+  config.iter_times = 4;
+  CoverageFuzzer fuzzer(model(), strategy, config);
+  util::Rng rng(10);
+  hdc::instrument::reset();
+  const auto outcome = fuzzer.fuzz_one(test_images().images[4], rng);
+  EXPECT_GT(outcome.base.encodes, 1u);
+  expect_dense_free("CoverageFuzzer::fuzz_one");
+}
+
+TEST_F(DenseFreeTest, ScheduledCampaignIsDenseFree) {
+  const RandNoiseMutation strategy;
+  ScheduleConfig config;
+  config.total_encodes = 300;
+  config.round_encodes = 50;
+  const auto inputs = test_images().take(3);
+  hdc::instrument::reset();
+  const auto result = run_scheduled_campaign(model(), strategy, inputs, config);
+  EXPECT_GT(result.total_encodes, inputs.size());
+  expect_dense_free("run_scheduled_campaign");
+}
+
+TEST_F(DenseFreeTest, MinimizeAdversarialIsDenseFree) {
+  const GaussNoiseMutation strategy;
+  const Fuzzer fuzzer(model(), strategy, FuzzConfig{});
+  const auto& original = test_images().images[0];
+  util::Rng rng(11);
+  const auto finding = fuzzer.fuzz_one(original, rng);
+  ASSERT_TRUE(finding.success);
+  hdc::instrument::reset();
+  const auto result =
+      minimize_adversarial(model(), original, finding.adversarial);
+  EXPECT_GT(result.encodes, 2u);
+  expect_dense_free("minimize_adversarial");
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "data/synthetic_digits.hpp"
 #include "hdc/classifier.hpp"
+#include "temp_path.hpp"
 
 namespace hdtest::fuzz {
 namespace {
@@ -153,7 +154,7 @@ TEST(Report, PerClassTableHasOneRowPerClass) {
 class ReportFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "hdtest_report";
+    dir_ = unique_temp_path("hdtest_report");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -106,6 +106,12 @@ TEST_F(MinimizeCoverageTest, FineOnlyModeAlsoWorks) {
   EXPECT_LE(result.pixels_after, result.pixels_before);
 }
 
+// Archive queries are packed, as the fuzz loop produces them; drawn dense
+// first so each test consumes its RNG exactly as before.
+hdc::PackedHv random_query(std::size_t dim, util::Rng& rng) {
+  return hdc::PackedHv::from_dense(hdc::Hypervector::random(dim, rng));
+}
+
 TEST(NoveltyArchive, ValidatesThreshold) {
   EXPECT_THROW(NoveltyArchive(-0.1), std::invalid_argument);
   EXPECT_THROW(NoveltyArchive(2.1), std::invalid_argument);
@@ -115,13 +121,13 @@ TEST(NoveltyArchive, ValidatesThreshold) {
 TEST(NoveltyArchive, EmptyArchiveHasMaximalNovelty) {
   NoveltyArchive archive;
   util::Rng rng(1);
-  EXPECT_DOUBLE_EQ(archive.novelty(hdc::Hypervector::random(256, rng)), 2.0);
+  EXPECT_DOUBLE_EQ(archive.novelty(random_query(256, rng)), 2.0);
 }
 
 TEST(NoveltyArchive, KnownVectorHasZeroNovelty) {
   NoveltyArchive archive;
   util::Rng rng(2);
-  const auto v = hdc::Hypervector::random(512, rng);
+  const auto v = random_query(512, rng);
   archive.add(v);
   EXPECT_NEAR(archive.novelty(v), 0.0, 1e-12);
 }
@@ -129,8 +135,8 @@ TEST(NoveltyArchive, KnownVectorHasZeroNovelty) {
 TEST(NoveltyArchive, RandomVectorsAreMutuallyNovel) {
   NoveltyArchive archive;
   util::Rng rng(3);
-  archive.add(hdc::Hypervector::random(4096, rng));
-  const auto other = hdc::Hypervector::random(4096, rng);
+  archive.add(random_query(4096, rng));
+  const auto other = random_query(4096, rng);
   // Orthogonal vectors: cosine ~ 0 -> novelty ~ 1.
   EXPECT_NEAR(archive.novelty(other), 1.0, 0.1);
 }
@@ -138,12 +144,12 @@ TEST(NoveltyArchive, RandomVectorsAreMutuallyNovel) {
 TEST(NoveltyArchive, ObserveArchivesAboveThresholdOnly) {
   NoveltyArchive archive(0.5);
   util::Rng rng(4);
-  const auto v = hdc::Hypervector::random(1024, rng);
+  const auto v = random_query(1024, rng);
   EXPECT_DOUBLE_EQ(archive.observe(v), 2.0);  // empty -> max novelty, added
   EXPECT_EQ(archive.size(), 1u);
   EXPECT_NEAR(archive.observe(v), 0.0, 1e-12);  // known -> not re-added
   EXPECT_EQ(archive.size(), 1u);
-  const auto other = hdc::Hypervector::random(1024, rng);
+  const auto other = random_query(1024, rng);
   archive.observe(other);  // novelty ~1 >= 0.5 -> added
   EXPECT_EQ(archive.size(), 2u);
 }
@@ -152,7 +158,7 @@ TEST(NoveltyArchive, CapacityBoundsGrowth) {
   NoveltyArchive archive(0.0, 2);
   util::Rng rng(5);
   for (int i = 0; i < 5; ++i) {
-    archive.add(hdc::Hypervector::random(128, rng));
+    archive.add(random_query(128, rng));
   }
   EXPECT_EQ(archive.size(), 2u);
 }

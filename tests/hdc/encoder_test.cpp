@@ -129,7 +129,8 @@ TEST(IncrementalEncoder, RequiresRebaseBeforeUse) {
   const PixelEncoder enc(small_config(), 4, 4);
   IncrementalPixelEncoder inc(enc);
   EXPECT_FALSE(inc.has_base());
-  EXPECT_THROW(inc.encode_mutant(data::Image(4, 4, 0)), std::logic_error);
+  EXPECT_THROW(inc.encode_mutant_packed(data::Image(4, 4, 0)),
+               std::logic_error);
 }
 
 TEST(IncrementalEncoder, MatchesFullEncodeOnIdenticalImage) {
@@ -137,7 +138,8 @@ TEST(IncrementalEncoder, MatchesFullEncodeOnIdenticalImage) {
   IncrementalPixelEncoder inc(enc);
   const auto img = random_image(6, 6, 7);
   inc.rebase(img);
-  EXPECT_EQ(inc.encode_mutant(img), enc.encode(img));
+  EXPECT_EQ(inc.encode_mutant_packed(img),
+            PackedHv::from_dense(enc.encode(img)));
   EXPECT_EQ(inc.last_delta_count(), 0u);
 }
 
@@ -150,7 +152,8 @@ TEST(IncrementalEncoder, MatchesFullEncodeOnSparseMutation) {
   mutant(0, 0) = 13;
   mutant(7, 7) = 222;
   mutant(3, 5) = 0;
-  EXPECT_EQ(inc.encode_mutant(mutant), enc.encode(mutant));
+  EXPECT_EQ(inc.encode_mutant_packed(mutant),
+            PackedHv::from_dense(enc.encode(mutant)));
   EXPECT_LE(inc.last_delta_count(), 3u);
 }
 
@@ -159,7 +162,8 @@ TEST(IncrementalEncoder, MatchesFullEncodeOnTotalRewrite) {
   IncrementalPixelEncoder inc(enc);
   inc.rebase(random_image(8, 8, 9));
   const auto different = random_image(8, 8, 10);
-  EXPECT_EQ(inc.encode_mutant(different), enc.encode(different));
+  EXPECT_EQ(inc.encode_mutant_packed(different),
+            PackedHv::from_dense(enc.encode(different)));
 }
 
 TEST(IncrementalEncoder, RebaseSwitchesBase) {
@@ -171,14 +175,16 @@ TEST(IncrementalEncoder, RebaseSwitchesBase) {
   inc.rebase(second);
   auto mutant = second;
   mutant(2, 2) = 99;
-  EXPECT_EQ(inc.encode_mutant(mutant), enc.encode(mutant));
+  EXPECT_EQ(inc.encode_mutant_packed(mutant),
+            PackedHv::from_dense(enc.encode(mutant)));
 }
 
 TEST(IncrementalEncoder, ShapeMismatchThrows) {
   const PixelEncoder enc(small_config(), 5, 5);
   IncrementalPixelEncoder inc(enc);
   inc.rebase(data::Image(5, 5, 0));
-  EXPECT_THROW(inc.encode_mutant(data::Image(4, 5, 0)), std::invalid_argument);
+  EXPECT_THROW(inc.encode_mutant_packed(data::Image(4, 5, 0)),
+               std::invalid_argument);
 }
 
 TEST(IncrementalEncoder, QuantizedValueChangesBelowResolutionAreFree) {
@@ -191,26 +197,39 @@ TEST(IncrementalEncoder, QuantizedValueChangesBelowResolutionAreFree) {
   inc.rebase(base);
   auto mutant = base;
   mutant(1, 1) = 3;
-  EXPECT_EQ(inc.encode_mutant(mutant), enc.encode(base));
+  EXPECT_EQ(inc.encode_mutant_packed(mutant),
+            PackedHv::from_dense(enc.encode(base)));
 }
 
 // Property sweep over random mutation batches: incremental == full, always.
-class IncrementalSweep : public ::testing::TestWithParam<std::uint64_t> {};
+// Up to 30 flips on 10x10 mostly crosses the W*H/20 = 5 routing bound (the
+// full-encode route); up to 5 flips always stays on the patch path.
+class IncrementalSweep : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  static void expect_agreement(std::uint64_t seed, std::uint64_t max_flips) {
+    const PixelEncoder enc(small_config(1024), 10, 10);
+    IncrementalPixelEncoder inc(enc);
+    util::Rng rng(seed);
+    const auto base = random_image(10, 10, seed);
+    inc.rebase(base);
+    auto mutant = base;
+    const auto flips = 1 + rng.uniform_u64(max_flips);
+    for (std::uint64_t f = 0; f < flips; ++f) {
+      const auto row = static_cast<std::size_t>(rng.uniform_u64(10));
+      const auto col = static_cast<std::size_t>(rng.uniform_u64(10));
+      mutant(row, col) = static_cast<std::uint8_t>(rng.uniform_u64(256));
+    }
+    EXPECT_EQ(inc.encode_mutant_packed(mutant),
+              PackedHv::from_dense(enc.encode(mutant)));
+  }
+};
 
 TEST_P(IncrementalSweep, AgreesWithFullEncode) {
-  const PixelEncoder enc(small_config(1024), 10, 10);
-  IncrementalPixelEncoder inc(enc);
-  util::Rng rng(GetParam());
-  const auto base = random_image(10, 10, GetParam());
-  inc.rebase(base);
-  auto mutant = base;
-  const auto flips = 1 + rng.uniform_u64(30);
-  for (std::uint64_t f = 0; f < flips; ++f) {
-    const auto row = static_cast<std::size_t>(rng.uniform_u64(10));
-    const auto col = static_cast<std::size_t>(rng.uniform_u64(10));
-    mutant(row, col) = static_cast<std::uint8_t>(rng.uniform_u64(256));
-  }
-  EXPECT_EQ(inc.encode_mutant(mutant), enc.encode(mutant));
+  expect_agreement(GetParam(), 30);
+}
+
+TEST_P(IncrementalSweep, AgreesWithFullEncodeBelowRoutingBound) {
+  expect_agreement(GetParam(), 5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Batches, IncrementalSweep,

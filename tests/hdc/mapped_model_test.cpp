@@ -18,6 +18,7 @@
 #include "data/synthetic_digits.hpp"
 #include "hdc/instrument.hpp"
 #include "hdc/serialize.hpp"
+#include "temp_path.hpp"
 
 namespace hdtest::hdc {
 namespace {
@@ -180,8 +181,8 @@ TEST(MappedModel, RejectsLegacyFormatsAndMissingFiles) {
     std::string bytes = out.str();
     std::memcpy(bytes.data() + 4, &version, sizeof version);
     const auto path =
-        (std::filesystem::temp_directory_path() /
-         ("hdtest_mapped_legacy_v" + std::to_string(version) + ".hdtm"))
+        unique_temp_path("hdtest_mapped_legacy_v" + std::to_string(version),
+                         ".hdtm")
             .string();
     {
       std::ofstream file(path, std::ios::binary);

@@ -1,5 +1,5 @@
-// Tests for the packed associative-memory fast path: predict_packed /
-// similarities_packed must rank identically to the dense reference path,
+// Tests for the packed associative-memory fast path: packed().predict /
+// packed().similarities must rank identically to the dense reference path,
 // and the query-blocked sweep (predict_block) must agree bit-for-bit with
 // per-query predict()/similarity_to() on every compiled SIMD backend, every
 // block size, and every worker count.
@@ -35,8 +35,8 @@ TEST(PackedAm, RequiresFinalization) {
   AssociativeMemory am(2, 64, 1);
   util::Rng rng(1);
   const auto query = PackedHv::random(64, rng);
-  EXPECT_THROW((void)am.predict_packed(query), std::logic_error);
-  EXPECT_THROW((void)am.similarities_packed(query), std::logic_error);
+  EXPECT_THROW((void)am.packed().predict(query), std::logic_error);
+  EXPECT_THROW((void)am.packed().similarities(query), std::logic_error);
 }
 
 TEST(PackedAm, SimilaritiesMatchDenseExactly) {
@@ -46,7 +46,7 @@ TEST(PackedAm, SimilaritiesMatchDenseExactly) {
     const auto dense_query = Hypervector::random(1024, rng);
     const auto packed_query = PackedHv::from_dense(dense_query);
     const auto dense_sims = am.similarities(dense_query);
-    const auto packed_sims = am.similarities_packed(packed_query);
+    const auto packed_sims = am.packed().similarities(packed_query);
     ASSERT_EQ(dense_sims.size(), packed_sims.size());
     for (std::size_t c = 0; c < dense_sims.size(); ++c) {
       EXPECT_DOUBLE_EQ(dense_sims[c], packed_sims[c]) << "class " << c;
@@ -62,7 +62,7 @@ TEST(PackedAm, PredictionsMatchDenseAtOddDimensions) {
     for (int trial = 0; trial < 5; ++trial) {
       const auto query = Hypervector::random(dim, rng);
       EXPECT_EQ(am.predict(query),
-                am.predict_packed(PackedHv::from_dense(query)))
+                am.packed().predict(PackedHv::from_dense(query)))
           << "dim " << dim;
     }
   }
@@ -73,11 +73,11 @@ TEST(PackedAm, HammingMetricAlsoMatches) {
   util::Rng rng(9);
   const auto query = Hypervector::random(512, rng);
   const auto dense = am.similarities(query);
-  const auto packed = am.similarities_packed(PackedHv::from_dense(query));
+  const auto packed = am.packed().similarities(PackedHv::from_dense(query));
   for (std::size_t c = 0; c < dense.size(); ++c) {
     EXPECT_DOUBLE_EQ(dense[c], packed[c]);
   }
-  EXPECT_EQ(am.predict(query), am.predict_packed(PackedHv::from_dense(query)));
+  EXPECT_EQ(am.predict(query), am.packed().predict(PackedHv::from_dense(query)));
 }
 
 TEST(PackedAm, RefinalizeRefreshesPackedCache) {
@@ -88,7 +88,7 @@ TEST(PackedAm, RefinalizeRefreshesPackedCache) {
   am.add(0, a);
   am.add(1, b);
   am.finalize();
-  EXPECT_EQ(am.predict_packed(PackedHv::from_dense(a)), 0u);
+  EXPECT_EQ(am.packed().predict(PackedHv::from_dense(a)), 0u);
 
   // Retrain so class 1 absorbs `a` strongly; the packed cache must follow.
   am.add(1, a);
@@ -97,7 +97,7 @@ TEST(PackedAm, RefinalizeRefreshesPackedCache) {
   am.add(0, a, -1);
   am.add(0, a, -1);
   am.finalize();
-  EXPECT_EQ(am.predict_packed(PackedHv::from_dense(a)),
+  EXPECT_EQ(am.packed().predict(PackedHv::from_dense(a)),
             am.predict(a));
 }
 
@@ -214,7 +214,7 @@ TEST(PackedAm, EndToEndClassifierAgreement) {
   model.fit(pair.train);
   for (const auto& image : pair.test.images) {
     const auto query = model.encode(image);
-    EXPECT_EQ(model.am().predict_packed(PackedHv::from_dense(query)),
+    EXPECT_EQ(model.am().packed().predict(PackedHv::from_dense(query)),
               model.predict_encoded(query));
   }
 }

@@ -1,5 +1,4 @@
-// Tests for the dense-free encoding pipeline: the fused packed bipolarize
-// (Accumulator::bipolarize_packed), the fused full encode
+// Tests for the dense-free encoding pipeline: the fused full encode
 // (PixelEncoder::encode_packed / encode_into via the bundle_bound kernel),
 // the packed delta re-encoder (encode_mutant_packed), the parallel batch
 // encoder, and the packed fitness kernels. Everything must be bit-identical
@@ -46,55 +45,6 @@ data::Image random_image(std::size_t w, std::size_t h, std::uint64_t seed) {
   return img;
 }
 
-/// Accumulator with lanes drawn from a small range centered on zero so that
-/// negative, zero, and positive lanes all occur.
-Accumulator random_accumulator(std::size_t dim, std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<std::int32_t> lanes(dim);
-  for (auto& lane : lanes) {
-    lane = static_cast<std::int32_t>(rng.uniform_u64(7)) - 3;
-  }
-  return Accumulator::from_lanes(std::move(lanes));
-}
-
-TEST(BipolarizePacked, MatchesDensePathAcrossDimsOnEveryBackend) {
-  for (const auto* backend : util::simd::available_kernels()) {
-    BackendGuard guard(backend->name);
-    for (const auto dim : kDims) {
-      util::Rng rng(dim);
-      const auto tie_break = Hypervector::random(dim, rng);
-      const auto tie_break_packed = PackedHv::from_dense(tie_break);
-      for (std::uint64_t seed = 0; seed < 4; ++seed) {
-        const auto acc = random_accumulator(dim, seed * 31 + dim);
-        EXPECT_EQ(acc.bipolarize_packed(tie_break_packed),
-                  PackedHv::from_dense(acc.bipolarize(tie_break)))
-            << backend->name << " dim=" << dim << " seed=" << seed;
-      }
-    }
-  }
-}
-
-TEST(BipolarizePacked, AllZeroLanesTakeTieBreakPattern) {
-  // A fresh accumulator is all zeros: Eq. 1 resolves every lane from the
-  // tie-break HV, so the packed result must equal the packed tie-break.
-  for (const auto dim : kDims) {
-    util::Rng rng(dim + 1);
-    const auto tie_break = Hypervector::random(dim, rng);
-    const auto tie_break_packed = PackedHv::from_dense(tie_break);
-    const Accumulator zeros(dim);
-    EXPECT_EQ(zeros.bipolarize_packed(tie_break_packed), tie_break_packed);
-    EXPECT_EQ(zeros.bipolarize_packed(tie_break_packed),
-              PackedHv::from_dense(zeros.bipolarize(tie_break)));
-  }
-}
-
-TEST(BipolarizePacked, RejectsDimensionMismatch) {
-  const Accumulator acc(100);
-  util::Rng rng(5);
-  const auto tie_break = PackedHv::random(101, rng);
-  EXPECT_THROW((void)acc.bipolarize_packed(tie_break), std::invalid_argument);
-}
-
 TEST(EncodeInto, LanesMatchDenseAddBoundOnEveryBackend) {
   // The fused kernel's int32 lanes against the per-element reference:
   // add_bound of every dense pixel HV, in pixel order.
@@ -117,7 +67,8 @@ TEST(EncodeInto, LanesMatchDenseAddBoundOnEveryBackend) {
       }
       // The same pass returns the image's packed query.
       EXPECT_EQ(query, enc.encode_packed(img)) << backend->name;
-      EXPECT_EQ(query, reference.bipolarize_packed(enc.tie_break_packed()))
+      EXPECT_EQ(query,
+                PackedHv::from_dense(reference.bipolarize(enc.tie_break())))
           << backend->name;
     }
   }
@@ -139,23 +90,6 @@ TEST(EncodeInto, AddsOntoExistingLanes) {
   only_a.merge(only_b);
   for (std::size_t i = 0; i < 1000; ++i) {
     ASSERT_EQ(both.lane(i), only_a.lane(i)) << "lane=" << i;
-  }
-}
-
-TEST(AddBoundPacked, MatchesDenseAddBound) {
-  for (const auto dim : kDims) {
-    util::Rng rng(dim + 17);
-    const auto a = PackedHv::random(dim, rng);
-    const auto b = PackedHv::random(dim, rng);
-    Accumulator dense_acc(dim);
-    Accumulator packed_acc(dim);
-    dense_acc.add_bound(a.to_dense(), b.to_dense(), +1);
-    dense_acc.add_bound(b.to_dense(), a.to_dense(), -2);
-    packed_acc.add_bound_packed(a.words(), b.words(), +1);
-    packed_acc.add_bound_packed(b.words(), a.words(), -2);
-    for (std::size_t i = 0; i < dim; ++i) {
-      ASSERT_EQ(packed_acc.lane(i), dense_acc.lane(i)) << "dim=" << dim;
-    }
   }
 }
 
@@ -261,9 +195,6 @@ TEST(PackedEncode, EncodeMutantPackedMatchesDenseOnEveryBackend) {
             static_cast<std::uint8_t>(rng.uniform_u64(256));
       }
       EXPECT_EQ(inc.encode_mutant_packed(mutant),
-                PackedHv::from_dense(inc.encode_mutant(mutant)))
-          << backend->name << " dim=" << dim;
-      EXPECT_EQ(inc.encode_mutant_packed(mutant),
                 PackedHv::from_dense(enc.encode(mutant)))
           << backend->name << " dim=" << dim;
     }
@@ -285,7 +216,8 @@ TEST(PackedEncode, RebaseFromAccumulatorMatchesFullRebase) {
   mutant(4, 4) = static_cast<std::uint8_t>(mutant(4, 4) ^ 0xff);
   EXPECT_EQ(from_acc.encode_mutant_packed(mutant),
             full.encode_mutant_packed(mutant));
-  EXPECT_EQ(from_acc.encode_mutant(mutant), enc.encode(mutant));
+  EXPECT_EQ(from_acc.encode_mutant_packed(mutant),
+            PackedHv::from_dense(enc.encode(mutant)));
 }
 
 TEST(PackedEncode, RebaseFromAccumulatorValidates) {

@@ -13,6 +13,7 @@
 #include "hdc/instrument.hpp"
 #include "hdc/serialize.hpp"
 #include "hdc/trainer.hpp"
+#include "temp_path.hpp"
 
 namespace hdtest::hdc {
 namespace {
@@ -92,8 +93,7 @@ TEST(Serialize, LoadedModelSupportsFurtherRetraining) {
 }
 
 TEST(Serialize, FileRoundTrip) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "hdtest_model.bin").string();
+  const auto path = unique_temp_path("hdtest_model", ".bin").string();
   const auto model = trained_model();
   save_model(model, path);
   const auto loaded = load_model(path);

@@ -22,6 +22,7 @@
 #include "hdc/classifier.hpp"
 #include "hdc/serialize.hpp"
 #include "hdc/trainer.hpp"
+#include "temp_path.hpp"
 
 namespace hdtest {
 namespace {
@@ -124,7 +125,7 @@ TEST_F(PipelineTest, DefenseThenSerializeRoundTrip) {
 TEST_F(PipelineTest, ReportsRenderForRealCampaigns) {
   EXPECT_FALSE(fuzz::render_strategy_table({campaign()}).empty());
   EXPECT_FALSE(fuzz::render_per_class_table(campaign(), 10).empty());
-  const auto dir = std::filesystem::temp_directory_path() / "hdtest_pipe";
+  const auto dir = unique_temp_path("hdtest_pipe");
   std::filesystem::create_directories(dir);
   fuzz::write_records_csv(campaign(), (dir / "records.csv").string());
   fuzz::write_summary_csv({campaign()}, (dir / "summary.csv").string());
@@ -135,7 +136,7 @@ TEST_F(PipelineTest, ReportsRenderForRealCampaigns) {
 TEST_F(PipelineTest, SyntheticDigitsRoundTripThroughIdxFormat) {
   // The synthetic dataset can masquerade as MNIST on disk: write IDX files,
   // reload through the MNIST loader, train, and reach the same accuracy.
-  const auto dir = std::filesystem::temp_directory_path() / "hdtest_mnist";
+  const auto dir = unique_temp_path("hdtest_mnist");
   std::filesystem::create_directories(dir);
   std::vector<std::uint8_t> labels;
   for (const auto label : pair().train.labels) {

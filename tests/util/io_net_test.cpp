@@ -17,6 +17,7 @@
 #include "util/backoff.hpp"
 #include "util/io.hpp"
 #include "util/net.hpp"
+#include "temp_path.hpp"
 
 namespace hdtest::util {
 namespace {
@@ -53,9 +54,7 @@ TEST(IoFull, ErrorsReturnMinusOneWithErrno) {
 }
 
 TEST(IoFull, OpenReadonly) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "hdtest_io_test.bin")
-          .string();
+  const auto path = unique_temp_path("hdtest_io_test", ".bin").string();
   {
     std::ofstream out(path, std::ios::binary);
     out << "abc";
